@@ -11,7 +11,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <set>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -66,41 +66,46 @@ struct PendingConn {
   FrameDecoder dec;
 };
 
+/// The run indices a job executes, ascending: its run_filter deduplicated
+/// (each run executes -- and charges the quarantine ledger -- once) and
+/// checked against the matrix, or the whole matrix.
+std::vector<std::size_t> job_targets(const JobSpec& job) {
+  const std::size_t runs = job.configs * job.reps;
+  std::vector<std::size_t> targets = job.run_filter;
+  if (targets.empty()) {
+    for (std::size_t i = 0; i < runs; ++i) targets.push_back(i);
+    return targets;
+  }
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  if (targets.back() >= runs) {
+    throw CoordinatorError("run_filter index " +
+                           std::to_string(targets.back()) + " outside the " +
+                           std::to_string(runs) + "-run matrix");
+  }
+  return targets;
+}
+
+/// A record carrying only a result: a run that was skipped, not executed.
+json::Value result_record(const sim::RunResult& r) {
+  json::Value rec = json::Value::object();
+  rec.set("result", run_result_to_json(r));
+  return rec;
+}
+
+/// Charges a stored record's outcome to the config-quarantine ledger.
+void note_record(sim::QuarantineLedger& ledger, const sim::RunSpec& spec,
+                 const json::Value& rec) {
+  const json::Value& r = rec.at("result");
+  ledger.note(spec, r.get_bool("ok", false),
+              static_cast<unsigned>(r.get_u64("attempts", 1)));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Outcome rendering + the shared fold
+// The shared fold
 // ---------------------------------------------------------------------------
-
-std::string Coordinator::Outcome::to_json(bool include_host_stats) const {
-  sim::CampaignArtifacts a;
-  a.configs = configs;
-  a.reps = reps;
-  a.seed = seed;
-  a.results = &results;
-  a.report = &report;
-  a.metrics = &metrics;
-  a.quarantined_configs = &quarantined_configs;
-  a.slo = slo;
-  a.workers = workers_used;
-  a.wall_seconds = wall_seconds;
-  return sim::campaign_json(a, include_host_stats);
-}
-
-std::string Coordinator::Outcome::health_json(bool include_host_stats) const {
-  sim::CampaignArtifacts a;
-  a.configs = configs;
-  a.reps = reps;
-  a.seed = seed;
-  a.results = &results;
-  a.report = &report;
-  a.metrics = &metrics;
-  a.quarantined_configs = &quarantined_configs;
-  a.slo = slo;
-  a.workers = workers_used;
-  a.wall_seconds = wall_seconds;
-  return sim::campaign_health_json(a, include_host_stats);
-}
 
 void fold_records(const JobSpec& job, std::vector<json::Value> records,
                   Coordinator::Outcome& out) {
@@ -143,8 +148,7 @@ void fold_records(const JobSpec& job, std::vector<json::Value> records,
       out.timeline.merge(tmp);
     }
   }
-  sim::append_campaign_manifests(out.results, job.reps, job.opt.slo,
-                                 out.report);
+  out.append_manifests();
 }
 
 // ---------------------------------------------------------------------------
@@ -153,71 +157,23 @@ void fold_records(const JobSpec& job, std::vector<json::Value> records,
 
 void run_local(const JobSpec& job, Coordinator::Outcome& out) {
   const auto t0 = Clock::now();
+  const std::vector<std::size_t> targets = job_targets(job);
   std::unique_ptr<Workload> wl = make_workload(job.workload, job.params);
-  const sim::Campaign::Body body = wl->body();
   sim::RunShard shard(job.opt);
-
-  std::vector<std::size_t> targets = job.run_filter;
-  if (targets.empty()) {
-    for (std::size_t i = 0; i < job.configs * job.reps; ++i) {
-      targets.push_back(i);
-    }
-  } else {
-    std::sort(targets.begin(), targets.end());
-  }
-
-  std::vector<std::uint32_t> config_failures(job.configs, 0);
+  sim::QuarantineLedger ledger(job.configs, job.opt.quarantine_after);
   std::vector<json::Value> records;
   for (std::size_t index : targets) {
-    sim::RunSpec spec;
-    spec.index = index;
-    spec.config = job.reps > 0 ? index / job.reps : 0;
-    spec.rep = job.reps > 0 ? index % job.reps : 0;
-    spec.seed = sim::campaign_run_seed(job.opt.seed, index);
-
-    if (job.opt.quarantine_after > 0 && spec.config < config_failures.size() &&
-        config_failures[spec.config] >= job.opt.quarantine_after) {
-      sim::RunResult r;
-      r.index = index;
-      r.seed = spec.seed;
-      r.ok = false;
-      r.attempts = 0;
-      r.classification = "quarantined";
-      r.error = "config " + std::to_string(spec.config) +
-                " quarantined after " +
-                std::to_string(job.opt.quarantine_after) + " failed runs";
-      json::Value rec = json::Value::object();
-      rec.set("result", run_result_to_json(r));
-      records.push_back(std::move(rec));
+    const sim::RunSpec spec = sim::run_spec(job.opt.seed, job.reps, index);
+    if (std::optional<sim::RunResult> skipped = ledger.skip(spec)) {
+      records.push_back(result_record(*skipped));
       continue;
     }
-
-    shard.registry.clear();
-    wl->begin_run();
-    sim::RunResult r;
-    sim::Report report;
-    metrics::TimeSeriesStore timeline;
-    sim::execute_run(shard, job.opt, spec, 0, body, r, &report, &timeline);
-    if (!r.ok) {
-      if (job.opt.quarantine_after > 0 &&
-          spec.config < config_failures.size()) {
-        ++config_failures[spec.config];
-      }
-      if (!job.opt.repro_dir.empty()) {
-        sim::write_repro_bundle(job.opt.repro_dir, job.opt.seed, job.configs,
-                                job.reps, spec, r);
-      }
-    }
-    records.push_back(make_run_record(r, report, shard.registry,
-                                      wl->coverage(), timeline));
+    records.push_back(
+        run_record(*wl, shard, job.opt, job.configs, job.reps, spec));
+    note_record(ledger, spec, records.back());
   }
   fold_records(job, std::move(records), out);
-  for (std::size_t c = 0; c < config_failures.size(); ++c) {
-    if (job.opt.quarantine_after > 0 &&
-        config_failures[c] >= job.opt.quarantine_after) {
-      out.quarantined_configs.push_back(c);
-    }
-  }
+  out.quarantined_configs = ledger.quarantined_configs();
   out.workers_used = 1;
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -238,14 +194,17 @@ struct Coordinator::Impl {
   std::deque<std::int64_t> queue;      ///< undispatched unit ids
   std::map<std::size_t, json::Value> records;  ///< run index -> record
   std::size_t total_targets = 0;
-  std::vector<std::uint32_t> config_failures;
-  std::set<std::size_t> quarantined_configs;
+  sim::QuarantineLedger ledger;
   std::vector<std::int64_t> quarantined_units;
   std::size_t since_checkpoint = 0;
   std::string digest;
 
   Impl(Coordinator& c, const JobSpec& j, const CoordinatorOptions& o)
-      : self(c), job(j), opt(o) {}
+      : self(c), job(j), opt(o), ledger(j.configs, j.opt.quarantine_after) {}
+
+  sim::RunSpec spec_of(std::size_t index) const {
+    return sim::run_spec(job.opt.seed, job.reps, index);
+  }
 
   void emit(const std::string& kind, int worker = -1, long pid = -1,
             std::int64_t unit = -1, const std::string& detail = "") {
@@ -268,28 +227,7 @@ struct Coordinator::Impl {
   void setup() {
     digest = job_digest(job.configs, job.reps, job.opt, job.workload,
                         job.params.dump());
-    if (job.opt.quarantine_after > 0) {
-      config_failures.assign(job.configs, 0);
-    }
-
-    std::vector<std::size_t> targets = job.run_filter;
-    if (targets.empty()) {
-      for (std::size_t i = 0; i < job.configs * job.reps; ++i) {
-        targets.push_back(i);
-      }
-    } else {
-      std::sort(targets.begin(), targets.end());
-      targets.erase(std::unique(targets.begin(), targets.end()),
-                    targets.end());
-      for (std::size_t t : targets) {
-        if (t >= job.configs * job.reps) {
-          throw CoordinatorError("run_filter index " + std::to_string(t) +
-                                 " outside the " +
-                                 std::to_string(job.configs * job.reps) +
-                                 "-run matrix");
-        }
-      }
-    }
+    const std::vector<std::size_t> targets = job_targets(job);
     total_targets = targets.size();
 
     if (opt.resume && !opt.checkpoint_path.empty() &&
@@ -297,10 +235,10 @@ struct Coordinator::Impl {
       Checkpoint cp = load_checkpoint(opt.checkpoint_path, digest);
       for (json::Value& rec : cp.runs) {
         const std::size_t idx = record_run_index(rec);
-        records.emplace(idx, std::move(rec));
+        const auto [it, fresh] = records.emplace(idx, std::move(rec));
         // Replayed failure accounting so config quarantine resumes where
-        // it left off (signature: same gate decisions as the first life).
-        note_result_for_quarantine(idx);
+        // it left off (same gate decisions as the first life).
+        if (fresh) note_record(ledger, spec_of(idx), it->second);
       }
     }
 
@@ -346,22 +284,6 @@ struct Coordinator::Impl {
           u.indices.end()) {
         u.chaos.push(d);
       }
-    }
-  }
-
-  /// Updates the config-quarantine ledger from a stored record.
-  void note_result_for_quarantine(std::size_t idx) {
-    if (job.opt.quarantine_after == 0 || job.reps == 0) return;
-    const json::Value& rec = records.at(idx);
-    const bool ok = rec.at("result").get_bool("ok", false);
-    if (ok) return;
-    const std::size_t config = idx / job.reps;
-    if (config >= config_failures.size()) return;
-    // Quarantine-skipped cells (attempts == 0) never count as failures in
-    // the engine either -- they were not executed.
-    if (rec.at("result").get_u64("attempts", 1) == 0) return;
-    if (++config_failures[config] >= job.opt.quarantine_after) {
-      quarantined_configs.insert(config);
     }
   }
 
@@ -520,11 +442,7 @@ struct Coordinator::Impl {
                        const std::string& why) {
     for (std::size_t index : u.indices) {
       if (records.find(index) != records.end()) continue;
-      sim::RunSpec spec;
-      spec.index = index;
-      spec.config = job.reps > 0 ? index / job.reps : 0;
-      spec.rep = job.reps > 0 ? index % job.reps : 0;
-      spec.seed = sim::campaign_run_seed(job.opt.seed, index);
+      const sim::RunSpec spec = spec_of(index);
       sim::RunResult r;
       r.index = index;
       r.seed = spec.seed;
@@ -538,9 +456,7 @@ struct Coordinator::Impl {
         sim::write_repro_bundle(job.opt.repro_dir, job.opt.seed, job.configs,
                                 job.reps, spec, r);
       }
-      json::Value rec = json::Value::object();
-      rec.set("result", run_result_to_json(r));
-      records.emplace(index, std::move(rec));
+      records.emplace(index, result_record(r));
       ++since_checkpoint;
     }
     quarantined_units.push_back(u.id);
@@ -549,32 +465,16 @@ struct Coordinator::Impl {
   }
 
   /// Strikes quarantined-config runs from a unit before dispatch,
-  /// synthesizing their skip records (engine gate parity).
+  /// recording the ledger's skip results (engine gate parity).
   void strip_quarantined_configs(Unit& u) {
-    if (job.opt.quarantine_after == 0 || quarantined_configs.empty() ||
-        job.reps == 0) {
-      return;
-    }
     std::vector<std::size_t> keep;
     for (std::size_t index : u.indices) {
-      const std::size_t config = index / job.reps;
-      if (quarantined_configs.find(config) == quarantined_configs.end()) {
+      std::optional<sim::RunResult> skipped = ledger.skip(spec_of(index));
+      if (!skipped) {
         keep.push_back(index);
-        continue;
+      } else if (records.emplace(index, result_record(*skipped)).second) {
+        ++since_checkpoint;
       }
-      if (records.find(index) != records.end()) continue;
-      sim::RunResult r;
-      r.index = index;
-      r.seed = sim::campaign_run_seed(job.opt.seed, index);
-      r.ok = false;
-      r.attempts = 0;
-      r.classification = "quarantined";
-      r.error = "config " + std::to_string(config) + " quarantined after " +
-                std::to_string(job.opt.quarantine_after) + " failed runs";
-      json::Value rec = json::Value::object();
-      rec.set("result", run_result_to_json(r));
-      records.emplace(index, std::move(rec));
-      ++since_checkpoint;
     }
     u.indices.swap(keep);
   }
@@ -690,7 +590,7 @@ struct Coordinator::Impl {
     }
     if (records.find(idx) == records.end()) {
       records.emplace(idx, rec);
-      note_result_for_quarantine(idx);
+      note_record(ledger, spec_of(idx), rec);
       ++since_checkpoint;
       emit("run_done", s.index, static_cast<long>(s.pid), uid,
            "run " + std::to_string(idx));
@@ -984,11 +884,10 @@ void Coordinator::run(Outcome& out) {
     recs.push_back(std::move(rec));
   }
   fold_records(job_, std::move(recs), out);
-  out.quarantined_configs.assign(impl.quarantined_configs.begin(),
-                                 impl.quarantined_configs.end());
+  out.quarantined_configs = impl.ledger.quarantined_configs();
   out.quarantined_units = impl.quarantined_units;
   out.interrupted = interrupted;
-  out.workers_used = opt_.workers == 0 ? 1 : opt_.workers;
+  out.workers_used = static_cast<unsigned>(impl.slots.size());
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 }
 

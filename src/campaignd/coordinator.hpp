@@ -12,6 +12,14 @@
 // byte-identical to the sequential in-process run (run_local is that
 // oracle, sharing executor, record construction and fold).
 //
+// The supervision decisions are the engine's, not copies: run coordinates
+// come from sim::run_spec, config quarantine from one sim::QuarantineLedger
+// (gate, skip result, failure counts, quarantined list), and the result is
+// a sim::CampaignOutcome that renders both documents. run_local and the
+// coordinator also share the target list (run_filter validated and
+// deduplicated) and the per-run record function (workload.hpp) with the
+// worker process.
+//
 // Fault tolerance:
 //   * Crash detection: worker EOF / nonzero exit / signal death, a lost
 //     heartbeat (deadline without beats), or a frozen runs-done counter
@@ -47,10 +55,7 @@
 
 #include "campaignd/json.hpp"
 #include "metrics/coverage.hpp"
-#include "metrics/registry.hpp"
-#include "metrics/timeseries.hpp"
 #include "sim/campaign.hpp"
-#include "sim/report.hpp"
 
 namespace mts::campaignd {
 
@@ -69,8 +74,9 @@ struct JobSpec {
   /// Engine options (workers / progress are process-local and ignored here;
   /// the coordinator's own worker count lives in CoordinatorOptions).
   sim::CampaignOptions opt;
-  /// Non-empty: execute only these run indices (repro replay). Empty: the
-  /// whole matrix.
+  /// Non-empty: execute only these run indices (repro replay), each once;
+  /// an index outside the matrix is a CoordinatorError. Empty: the whole
+  /// matrix.
   std::vector<std::size_t> run_filter;
 };
 
@@ -120,35 +126,21 @@ struct CoordinatorOptions {
 
 class Coordinator {
  public:
-  /// The campaign's merged artifacts, refolded from per-run records in
-  /// run-index order. Non-copyable (Coverage is).
-  struct Outcome {
-    std::vector<sim::RunResult> results;  ///< run-index order
-    sim::Report report;
-    metrics::Registry metrics;
+  /// The campaign's outcome (sim::CampaignOutcome: results, merged fold,
+  /// quarantined configs, host numbers), refolded from per-run records in
+  /// run-index order, plus what only a distributed campaign has. Its
+  /// to_json(false) / health_json(false) are byte-identical across worker
+  /// counts, placements, crashes and resumes -- and to the in-process
+  /// engine's. workers_used is the fleet actually spawned. Non-copyable
+  /// (Coverage is).
+  struct Outcome : sim::CampaignOutcome {
     metrics::Coverage coverage;
-    metrics::TimeSeriesStore timeline;
-    std::vector<std::size_t> quarantined_configs;  ///< engine semantics
-    std::vector<std::int64_t> quarantined_units;   ///< campaignd semantics
+    std::vector<std::int64_t> quarantined_units;  ///< campaignd semantics
     bool interrupted = false;  ///< graceful shutdown before completion
-    unsigned workers_used = 1;
-    double wall_seconds = 0.0;
-
-    std::size_t configs = 0;
-    std::size_t reps = 0;
-    std::uint64_t seed = 1;
-    sim::SloGate slo;
 
     Outcome() = default;
     Outcome(const Outcome&) = delete;
     Outcome& operator=(const Outcome&) = delete;
-
-    /// The canonical campaign artifact (sim::campaign_json). With
-    /// include_host_stats=false, byte-identical across worker counts,
-    /// placements, crashes and resumes.
-    std::string to_json(bool include_host_stats = true) const;
-    /// The deterministic health document (sim::campaign_health_json).
-    std::string health_json(bool include_host_stats = false) const;
   };
 
   Coordinator(JobSpec job, CoordinatorOptions opt);
@@ -180,9 +172,11 @@ class Coordinator {
 };
 
 /// The sequential in-process oracle: executes the same job in this process
-/// (one shard, run-index order) through the SAME executor, record
-/// construction and fold as the distributed path -- so its Outcome renders
-/// byte-identical JSON by construction. The chaos suite diffs against this.
+/// (one shard, run-index order) through the SAME target list, quarantine
+/// ledger, per-run record function and fold as the distributed path -- so
+/// its Outcome renders byte-identical JSON by construction. The chaos suite
+/// diffs against this. Throws CoordinatorError on a run_filter index
+/// outside the matrix, as the coordinator does.
 void run_local(const JobSpec& job, Coordinator::Outcome& out);
 
 /// The shared finalize step: sorts records by run index, restores each into

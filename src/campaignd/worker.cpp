@@ -172,7 +172,6 @@ class Worker {
     reps_ = m.at("reps").as_size();
     opt_ = options_from_json(m.at("options"));
     workload_ = make_workload(m.at("workload").as_string(), m.at("params"));
-    body_ = workload_->body();
     shard_ = std::make_unique<sim::RunShard>(opt_);
     beats_.start(static_cast<int>(m.get_u64("heartbeat_interval_ms", 100)));
   }
@@ -198,7 +197,9 @@ class Worker {
           pre_run_chaos(d);
         }
       }
-      execute_one(unit, index);
+      json::Value record =
+          run_record(*workload_, *shard_, opt_, configs_, reps_,
+                     sim::run_spec(opt_.seed, reps_, index));
       for (const ChaosDirective& d : chaos) {
         if (d.at_run == index && d.mode == "drop_connection" &&
             claim_marker(d.marker)) {
@@ -208,7 +209,7 @@ class Worker {
       json::Value done = json::Value::object();
       done.set("type", json::Value("run_done"));
       done.set("unit", json::Value::number_i64(unit));
-      done.set("record", std::move(record_));
+      done.set("record", std::move(record));
       send_msg(done);
       beats_.note_run_done();
     }
@@ -217,35 +218,6 @@ class Worker {
     ud.set("type", json::Value("unit_done"));
     ud.set("unit", json::Value::number_i64(unit));
     send_msg(ud);
-  }
-
-  /// Executes run `index` exactly as a Campaign pool thread would and
-  /// stages its snapshot record in record_. The worker-lifetime registry is
-  /// cleared first so the record carries this run's DELTA: per-run deltas
-  /// merge (counters/histograms add) to exactly the worker-lifetime
-  /// accumulation the in-process engine reduces. (Gauges merge by max
-  /// rather than last-write; bodies that need byte-identical distributed
-  /// artifacts keep gauges out of ctx.metrics() -- see snapshots.hpp.)
-  void execute_one(std::int64_t unit, std::size_t index) {
-    (void)unit;
-    shard_->registry.clear();
-    workload_->begin_run();
-    sim::RunSpec spec;
-    spec.index = index;
-    spec.config = reps_ > 0 ? index / reps_ : 0;
-    spec.rep = reps_ > 0 ? index % reps_ : 0;
-    spec.seed = sim::campaign_run_seed(opt_.seed, index);
-    sim::RunResult result;
-    sim::Report report;
-    metrics::TimeSeriesStore timeline;
-    sim::execute_run(*shard_, opt_, spec, 0, body_, result, &report,
-                     &timeline);
-    if (!result.ok && !opt_.repro_dir.empty()) {
-      sim::write_repro_bundle(opt_.repro_dir, opt_.seed, configs_, reps_,
-                              spec, result);
-    }
-    record_ = make_run_record(result, report, shard_->registry,
-                              workload_->coverage(), timeline);
   }
 
   void pre_run_chaos(const ChaosDirective& d) {
@@ -296,9 +268,7 @@ class Worker {
   std::size_t reps_ = 0;
   sim::CampaignOptions opt_;
   std::unique_ptr<Workload> workload_;
-  sim::Campaign::Body body_;
   std::unique_ptr<sim::RunShard> shard_;
-  json::Value record_;
 };
 
 }  // namespace

@@ -3,10 +3,11 @@
 // A worker is a child process (fork/exec of this binary's `worker`
 // subcommand) that connects back to the coordinator, receives the job
 // (workload name + params + matrix shape + options), then executes work
-// units -- explicit run-index lists -- one run at a time through the SAME
-// sim::execute_run the in-process engine uses, on a worker-lifetime
-// RunShard with warm arenas. Each completed run ships a snapshot record
-// (make_run_record) back over the wire; the coordinator folds records in
+// units -- explicit run-index lists -- one run at a time through
+// run_record (workload.hpp), the per-run path it shares with the run_local
+// oracle: the SAME sim::execute_run the in-process engine uses, on a
+// worker-lifetime RunShard with warm arenas. Each completed run ships that
+// snapshot record back over the wire; the coordinator folds records in
 // run-index order, so nothing about the placement of runs onto workers is
 // observable in the merged artifacts.
 //

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "bfm/bfm.hpp"
+#include "campaignd/snapshots.hpp"
 #include "fifo/fifo.hpp"
 #include "sim/error.hpp"
 #include "sync/clock.hpp"
@@ -175,6 +176,24 @@ std::vector<std::string> workload_names() {
   std::vector<std::string> names;
   for (const auto& [n, f] : registered()) names.push_back(n);
   return names;
+}
+
+json::Value run_record(Workload& wl, sim::RunShard& shard,
+                       const sim::CampaignOptions& opt, std::size_t configs,
+                       std::size_t reps, const sim::RunSpec& spec) {
+  shard.registry.clear();
+  wl.begin_run();
+  sim::RunResult result;
+  sim::Report report;
+  metrics::TimeSeriesStore timeline;
+  sim::execute_run(shard, opt, spec, 0, wl.body(), result, &report,
+                   &timeline);
+  if (!result.ok && !opt.repro_dir.empty()) {
+    sim::write_repro_bundle(opt.repro_dir, opt.seed, configs, reps, spec,
+                            result);
+  }
+  return make_run_record(result, report, shard.registry, wl.coverage(),
+                         timeline);
 }
 
 }  // namespace mts::campaignd

@@ -73,4 +73,18 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
 /// Registered names, sorted.
 std::vector<std::string> workload_names();
 
+/// Executes run `spec` of `wl` on `shard` and returns its snapshot record
+/// (make_run_record) -- the one per-run path of the worker process and the
+/// run_local oracle. The shard's worker-lifetime registry is cleared first
+/// so the record carries this run's DELTA: per-run deltas merge
+/// (counters/histograms add) to exactly the worker-lifetime accumulation
+/// the in-process engine reduces. (Gauges merge by max rather than
+/// last-write; bodies that need byte-identical distributed artifacts keep
+/// gauges out of ctx.metrics() -- see snapshots.hpp.) A failed run writes
+/// its repro bundle when opt.repro_dir is set; `configs` and `reps` are the
+/// matrix shape the bundle records.
+json::Value run_record(Workload& wl, sim::RunShard& shard,
+                       const sim::CampaignOptions& opt, std::size_t configs,
+                       std::size_t reps, const sim::RunSpec& spec);
+
 }  // namespace mts::campaignd

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 #include <typeinfo>
+#include <utility>
 
 #include "sim/error.hpp"
 #include "sim/observe.hpp"
@@ -54,6 +55,61 @@ std::uint64_t campaign_run_seed(std::uint64_t campaign_seed,
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   z ^= z >> 31;
   return z == 0 ? 0x9e3779b97f4a7c15ULL : z;
+}
+
+RunSpec run_spec(std::uint64_t campaign_seed, std::size_t reps,
+                 std::size_t index) noexcept {
+  RunSpec spec;
+  spec.index = index;
+  spec.config = reps > 0 ? index / reps : 0;
+  spec.rep = reps > 0 ? index % reps : 0;
+  spec.seed = campaign_run_seed(campaign_seed, index);
+  return spec;
+}
+
+QuarantineLedger::QuarantineLedger(std::size_t configs,
+                                   unsigned quarantine_after)
+    : configs_(configs), after_(quarantine_after) {
+  // make_unique<T[]> value-initializes: every count starts at zero.
+  if (after_ > 0 && configs_ > 0) {
+    failures_ = std::make_unique<std::atomic<std::uint32_t>[]>(configs_);
+  }
+}
+
+std::optional<RunResult> QuarantineLedger::skip(const RunSpec& spec) const {
+  if (failures_ == nullptr || spec.config >= configs_ ||
+      failures_[spec.config].load(std::memory_order_relaxed) < after_) {
+    return std::nullopt;
+  }
+  RunResult r;
+  r.index = spec.index;
+  r.seed = spec.seed;
+  r.ok = false;
+  r.attempts = 0;
+  r.classification = "quarantined";
+  r.error = "config " + std::to_string(spec.config) + " quarantined after " +
+            std::to_string(after_) + " failed runs";
+  return r;
+}
+
+void QuarantineLedger::note(const RunSpec& spec, bool ok,
+                            unsigned attempts) noexcept {
+  if (ok || attempts == 0 || failures_ == nullptr ||
+      spec.config >= configs_) {
+    return;
+  }
+  failures_[spec.config].fetch_add(1, std::memory_order_relaxed);
+}
+
+std::vector<std::size_t> QuarantineLedger::quarantined_configs() const {
+  std::vector<std::size_t> out;
+  if (failures_ == nullptr) return out;
+  for (std::size_t c = 0; c < configs_; ++c) {
+    if (failures_[c].load(std::memory_order_relaxed) >= after_) {
+      out.push_back(c);
+    }
+  }
+  return out;
 }
 
 RunShard::RunShard(const CampaignOptions& opt)
@@ -251,7 +307,11 @@ void execute_run(RunShard& shard, const CampaignOptions& opt,
 }
 
 Campaign::Campaign(std::size_t configs, std::size_t reps, CampaignOptions opt)
-    : configs_(configs), reps_(reps), opt_(opt) {
+    : opt_(std::move(opt)), ledger_(configs, opt_.quarantine_after) {
+  out_.configs = configs;
+  out_.reps = reps;
+  out_.seed = opt_.seed;
+  out_.slo = opt_.slo;
   unsigned w = opt_.workers;
   if (w == 0) w = std::thread::hardware_concurrency();
   if (w == 0) w = 1;
@@ -259,14 +319,8 @@ Campaign::Campaign(std::size_t configs, std::size_t reps, CampaignOptions opt)
   if (n > 0 && n < static_cast<std::size_t>(w)) {
     w = static_cast<unsigned>(n);
   }
-  workers_ = w == 0 ? 1 : w;
+  out_.workers_used = w;
 }
-
-struct Campaign::Cursor {
-  std::atomic<std::size_t> next{0};
-  /// Per-config finally-failed counts (quarantine_after > 0 only).
-  std::unique_ptr<std::atomic<std::uint32_t>[]> config_failures;
-};
 
 /// Shared streaming-health tallies (progress sink). Guarded by one mutex:
 /// updates happen once per completed run, far off any hot path.
@@ -285,44 +339,19 @@ struct Campaign::Live {
 void Campaign::worker_loop(RunShard& w, unsigned worker_index,
                            const Body& body) {
   for (;;) {
-    const std::size_t i =
-        cursor_->next.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= runs()) return;
 
-    RunSpec spec;
-    spec.index = i;
-    spec.config = i / reps_;
-    spec.rep = i % reps_;
-    spec.seed = campaign_run_seed(opt_.seed, i);
-
-    RunResult& r = results_[i];
-    r.index = i;
-    r.seed = spec.seed;
-
-    // Quarantine gate: a config that already burned its failure budget is
-    // skipped, not executed (attempts == 0 marks the skip).
-    if (opt_.quarantine_after > 0 &&
-        cursor_->config_failures[spec.config].load(
-            std::memory_order_relaxed) >= opt_.quarantine_after) {
-      r.ok = false;
-      r.attempts = 0;
-      r.classification = "quarantined";
-      r.error = "config " + std::to_string(spec.config) +
-                " quarantined after " +
-                std::to_string(opt_.quarantine_after) + " failed runs";
-      continue;
-    }
-
-    execute_run(w, opt_, spec, worker_index, body, r, &run_reports_[i],
-                &run_timelines_[i]);
-
-    if (!r.ok) {
-      if (opt_.quarantine_after > 0) {
-        cursor_->config_failures[spec.config].fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      if (!opt_.repro_dir.empty()) {
-        write_repro_bundle(opt_.repro_dir, opt_.seed, configs_, reps_, spec,
+    const RunSpec spec = run_spec(opt_.seed, reps(), i);
+    RunResult& r = out_.results[i];
+    if (std::optional<RunResult> skipped = ledger_.skip(spec)) {
+      r = std::move(*skipped);
+    } else {
+      execute_run(w, opt_, spec, worker_index, body, r, &run_reports_[i],
+                  &run_timelines_[i]);
+      ledger_.note(spec, r.ok, r.attempts);
+      if (!r.ok && !opt_.repro_dir.empty()) {
+        write_repro_bundle(opt_.repro_dir, opt_.seed, configs(), reps(), spec,
                            r);
       }
     }
@@ -414,52 +443,35 @@ void Campaign::run(const Body& body) {
   ran_ = true;
 
   const std::size_t n = runs();
-  results_.assign(n, RunResult{});
+  out_.results.assign(n, RunResult{});
   run_reports_.assign(n, Report{});
   run_timelines_.assign(n, metrics::TimeSeriesStore{});
   if (n == 0) return;
 
-  Cursor cursor;
-  if (opt_.quarantine_after > 0 && configs_ > 0) {
-    cursor.config_failures =
-        std::make_unique<std::atomic<std::uint32_t>[]>(configs_);
-    for (std::size_t c = 0; c < configs_; ++c) {
-      cursor.config_failures[c].store(0, std::memory_order_relaxed);
-    }
-  }
-  cursor_ = &cursor;
-
   // Workers live in a deque: Simulation is non-movable and each shard's
   // address must stay stable for the threads holding references into it.
+  const unsigned workers = out_.workers_used;
   std::deque<RunShard> shards;
-  for (unsigned wi = 0; wi < workers_; ++wi) shards.emplace_back(opt_);
+  for (unsigned wi = 0; wi < workers; ++wi) shards.emplace_back(opt_);
 
   const auto t0 = std::chrono::steady_clock::now();
   Live live;
   live.t0 = t0;
   live_ = opt_.progress ? &live : nullptr;
-  if (workers_ == 1) {
+  if (workers == 1) {
     worker_loop(shards[0], 0, body);
   } else {
     std::vector<std::thread> threads;
-    threads.reserve(workers_);
-    for (unsigned wi = 0; wi < workers_; ++wi) {
+    threads.reserve(workers);
+    for (unsigned wi = 0; wi < workers; ++wi) {
       threads.emplace_back(
           [this, &shards, wi, &body] { worker_loop(shards[wi], wi, body); });
     }
     for (std::thread& t : threads) t.join();
   }
   const auto t1 = std::chrono::steady_clock::now();
-  wall_seconds_ = std::chrono::duration<double>(t1 - t0).count();
-  if (cursor.config_failures != nullptr) {
-    for (std::size_t c = 0; c < configs_; ++c) {
-      if (cursor.config_failures[c].load(std::memory_order_relaxed) >=
-          opt_.quarantine_after) {
-        quarantined_.push_back(c);
-      }
-    }
-  }
-  cursor_ = nullptr;
+  out_.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  out_.quarantined_configs = ledger_.quarantined_configs();
   live_ = nullptr;
 
   // Reduce the shards. Registries fold in worker-index order: every
@@ -468,25 +480,81 @@ void Campaign::run(const Body& body) {
   // fold from the per-run snapshots in RUN-index order instead -- entry
   // append order and the entry cap would otherwise depend on which worker
   // happened to claim which runs.
-  for (const RunShard& w : shards) merged_.merge(w.registry);
-  for (Report& rr : run_reports_) merged_report_.merge(rr);
-  run_reports_.clear();  // per-run JSON (when captured) is in results_
+  for (const RunShard& w : shards) out_.metrics.merge(w.registry);
+  for (Report& rr : run_reports_) out_.report.merge(rr);
+  run_reports_.clear();  // per-run JSON (when captured) is in the results
   // Timelines fold in RUN-index order (run 0's points first): append order
   // is caller-visible in the exports, so -- like the Report fold -- the
   // merged store must not depend on which worker executed which run.
   for (metrics::TimeSeriesStore& ts : run_timelines_) {
-    merged_timeline_.merge(ts);
+    out_.timeline.merge(ts);
   }
   run_timelines_.clear();
-
-  // Failure + SLO manifests, folded in run-index order so the merged
-  // artifact stays worker-count independent.
-  append_campaign_manifests(results_, reps_, opt_.slo, merged_report_);
+  out_.append_manifests();
 }
 
-void append_campaign_manifests(const std::vector<RunResult>& results,
-                               std::size_t reps, const SloGate& slo,
-                               Report& report) {
+std::size_t Campaign::failed() const noexcept {
+  std::size_t n = 0;
+  for (const RunResult& r : out_.results) {
+    if (!r.ok) ++n;
+  }
+  return n;
+}
+
+bool Campaign::write_health_json(const std::string& path,
+                                 bool include_host_stats) const {
+  std::ofstream out(path);
+  if (!out) return false;
+  out << health_json(include_host_stats);
+  return static_cast<bool>(out);
+}
+
+bool Campaign::write_json(const std::string& path,
+                          bool include_host_stats) const {
+  std::ofstream out(path);
+  if (!out) return false;
+  out << to_json(include_host_stats);
+  return static_cast<bool>(out);
+}
+
+// -- CampaignOutcome ---------------------------------------------------------
+
+namespace {
+
+/// The "campaign" line and -- with host stats -- the "host" line that open
+/// both documents.
+void put_header(std::ostream& os, const CampaignOutcome& o,
+                bool include_host_stats) {
+  const std::size_t total_runs = o.configs * o.reps;
+  os << "{\n";
+  os << "  \"campaign\": {\"configs\": " << o.configs
+     << ", \"reps\": " << o.reps << ", \"runs\": " << total_runs
+     << ", \"seed\": " << o.seed << "},\n";
+  if (include_host_stats) {
+    const double rps = o.wall_seconds > 0.0
+                           ? static_cast<double>(total_runs) / o.wall_seconds
+                           : 0.0;
+    os << "  \"host\": {\"workers\": " << o.workers_used
+       << ", \"wall_seconds\": " << o.wall_seconds
+       << ", \"runs_per_sec\": " << rps << "},\n";
+  }
+}
+
+/// `"quarantined_configs": [..]` after `prefix`; nothing when the list is
+/// empty.
+void put_quarantined(std::ostream& os, const char* prefix,
+                     const std::vector<std::size_t>& configs) {
+  if (configs.empty()) return;
+  os << prefix << "\"quarantined_configs\": [";
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << configs[i];
+  }
+  os << "]";
+}
+
+}  // namespace
+
+void CampaignOutcome::append_manifests() {
   // Failure manifest: one merged-report entry per failed run, folded in
   // run-index order so the merged artifact stays worker-count independent.
   for (const RunResult& r : results) {
@@ -521,21 +589,7 @@ void append_campaign_manifests(const std::vector<RunResult>& results,
   }
 }
 
-std::size_t Campaign::failed() const noexcept {
-  std::size_t n = 0;
-  for (const RunResult& r : results_) {
-    if (!r.ok) ++n;
-  }
-  return n;
-}
-
-std::string campaign_health_json(const CampaignArtifacts& a,
-                                 bool include_host_stats) {
-  static const std::vector<RunResult> kNoResults;
-  const std::vector<RunResult>& results =
-      a.results != nullptr ? *a.results : kNoResults;
-  const std::size_t total_runs = a.configs * a.reps;
-
+std::string CampaignOutcome::health_json(bool include_host_stats) const {
   std::size_t ok = 0, failed_runs = 0, quarantined_runs = 0;
   std::uint64_t breaches = 0, samples = 0;
   double worst = 0.0;
@@ -558,18 +612,7 @@ std::string campaign_health_json(const CampaignArtifacts& a,
   }
 
   std::ostringstream os;
-  os << "{\n";
-  os << "  \"campaign\": {\"configs\": " << a.configs
-     << ", \"reps\": " << a.reps << ", \"runs\": " << total_runs
-     << ", \"seed\": " << a.seed << "},\n";
-  if (include_host_stats) {
-    const double rps = a.wall_seconds > 0.0
-                           ? static_cast<double>(total_runs) / a.wall_seconds
-                           : 0.0;
-    os << "  \"host\": {\"workers\": " << a.workers
-       << ", \"wall_seconds\": " << a.wall_seconds
-       << ", \"runs_per_sec\": " << rps << "},\n";
-  }
+  put_header(os, *this, include_host_stats);
   os << "  \"health\": {\"ok\": " << ok << ", \"failed\": " << failed_runs
      << ", \"quarantined_runs\": " << quarantined_runs
      << ", \"slo_breaches\": " << breaches
@@ -577,73 +620,24 @@ std::string campaign_health_json(const CampaignArtifacts& a,
   if (!worst_instance.empty()) {
     os << ", \"worst\": {\"run\": " << worst_run << ", \"instance\": \""
        << json_escape(worst_instance) << "\", \"metric\": \""
-       << json_escape(a.slo.metric)
-       << "\", \"percentile\": " << a.slo.percentile
+       << json_escape(slo.metric) << "\", \"percentile\": " << slo.percentile
        << ", \"value\": " << worst << "}";
   }
   os << "}";
-  if (a.slo.budget > 0.0) {
-    os << ",\n  \"slo\": {\"metric\": \"" << json_escape(a.slo.metric)
-       << "\", \"percentile\": " << a.slo.percentile
-       << ", \"budget\": " << a.slo.budget << ", \"fail_run\": "
-       << (a.slo.fail_run ? "true" : "false") << "}";
+  if (slo.budget > 0.0) {
+    os << ",\n  \"slo\": {\"metric\": \"" << json_escape(slo.metric)
+       << "\", \"percentile\": " << slo.percentile
+       << ", \"budget\": " << slo.budget << ", \"fail_run\": "
+       << (slo.fail_run ? "true" : "false") << "}";
   }
-  if (a.quarantined_configs != nullptr && !a.quarantined_configs->empty()) {
-    os << ",\n  \"quarantined_configs\": [";
-    bool first = true;
-    for (std::size_t q : *a.quarantined_configs) {
-      os << (first ? "" : ", ") << q;
-      first = false;
-    }
-    os << "]";
-  }
+  put_quarantined(os, ",\n  ", quarantined_configs);
   os << "\n}\n";
   return os.str();
 }
 
-std::string Campaign::health_json(bool include_host_stats) const {
-  CampaignArtifacts a;
-  a.configs = configs_;
-  a.reps = reps_;
-  a.seed = opt_.seed;
-  a.results = &results_;
-  a.report = &merged_report_;
-  a.metrics = &merged_;
-  a.quarantined_configs = &quarantined_;
-  a.slo = opt_.slo;
-  a.workers = workers_;
-  a.wall_seconds = wall_seconds_;
-  return campaign_health_json(a, include_host_stats);
-}
-
-bool Campaign::write_health_json(const std::string& path,
-                                 bool include_host_stats) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << health_json(include_host_stats);
-  return static_cast<bool>(out);
-}
-
-std::string campaign_json(const CampaignArtifacts& a,
-                          bool include_host_stats) {
-  static const std::vector<RunResult> kNoResults;
-  const std::vector<RunResult>& results =
-      a.results != nullptr ? *a.results : kNoResults;
-  const std::size_t total_runs = a.configs * a.reps;
-
+std::string CampaignOutcome::to_json(bool include_host_stats) const {
   std::ostringstream os;
-  os << "{\n";
-  os << "  \"campaign\": {\"configs\": " << a.configs
-     << ", \"reps\": " << a.reps << ", \"runs\": " << total_runs
-     << ", \"seed\": " << a.seed << "},\n";
-  if (include_host_stats) {
-    const double rps = a.wall_seconds > 0.0
-                           ? static_cast<double>(total_runs) / a.wall_seconds
-                           : 0.0;
-    os << "  \"host\": {\"workers\": " << a.workers
-       << ", \"wall_seconds\": " << a.wall_seconds
-       << ", \"runs_per_sec\": " << rps << "},\n";
-  }
+  put_header(os, *this, include_host_stats);
   os << "  \"runs\": [";
   bool first = true;
   std::size_t failed_runs = 0;
@@ -652,8 +646,8 @@ std::string campaign_json(const CampaignArtifacts& a,
     if (!first) os << ",";
     first = false;
     os << "\n    {\"index\": " << r.index << ", \"config\": "
-       << (a.reps == 0 ? 0 : r.index / a.reps) << ", \"rep\": "
-       << (a.reps == 0 ? 0 : r.index % a.reps) << ", \"seed\": " << r.seed
+       << (reps == 0 ? 0 : r.index / reps) << ", \"rep\": "
+       << (reps == 0 ? 0 : r.index % reps) << ", \"seed\": " << r.seed
        << ", \"ok\": " << (r.ok ? "true" : "false");
     if (!r.error.empty()) {
       os << ", \"error\": \"" << json_escape(r.error) << "\"";
@@ -697,45 +691,11 @@ std::string campaign_json(const CampaignArtifacts& a,
   }
   os << (first ? "]" : "\n  ]") << ",\n";
   os << "  \"merged\": {\"failed_runs\": " << failed_runs;
-  if (a.quarantined_configs != nullptr && !a.quarantined_configs->empty()) {
-    os << ", \"quarantined_configs\": [";
-    bool qfirst = true;
-    for (std::size_t q : *a.quarantined_configs) {
-      os << (qfirst ? "" : ", ") << q;
-      qfirst = false;
-    }
-    os << "]";
-  }
-  os << ", \"report\": "
-     << (a.report != nullptr ? a.report->to_json() : std::string("{}"))
-     << ", \"metrics\": "
-     << (a.metrics != nullptr ? a.metrics->to_json() : std::string("{}"))
-     << "}\n";
+  put_quarantined(os, ", ", quarantined_configs);
+  os << ", \"report\": " << report.to_json()
+     << ", \"metrics\": " << metrics.to_json() << "}\n";
   os << "}\n";
   return os.str();
-}
-
-std::string Campaign::to_json(bool include_host_stats) const {
-  CampaignArtifacts a;
-  a.configs = configs_;
-  a.reps = reps_;
-  a.seed = opt_.seed;
-  a.results = &results_;
-  a.report = &merged_report_;
-  a.metrics = &merged_;
-  a.quarantined_configs = &quarantined_;
-  a.slo = opt_.slo;
-  a.workers = workers_;
-  a.wall_seconds = wall_seconds_;
-  return campaign_json(a, include_host_stats);
-}
-
-bool Campaign::write_json(const std::string& path,
-                          bool include_host_stats) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_json(include_host_stats);
-  return static_cast<bool>(out);
 }
 
 }  // namespace mts::sim

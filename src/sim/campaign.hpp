@@ -35,6 +35,12 @@
 //     caller's side (metrics::Coverage::merge) because mts_sim cannot link
 //     mts_metrics' attachers.
 //
+// What a campaign leaves behind -- per-run results, the merged fold, the
+// quarantined configs and the host numbers -- is one CampaignOutcome value,
+// and its to_json()/health_json() are the only renderers of the campaign
+// and health documents. Campaign stores one; campaignd's Coordinator::Outcome
+// extends it, so every engine renders through the same code.
+//
 // The body runs on pool threads: it must only touch the CampaignContext,
 // its per-run locals, and read-only captures (per-worker slots indexed by
 // ctx.worker() are fine). gtest assertions belong on the caller's thread,
@@ -56,7 +62,9 @@
 //     ("quarantined") instead of executed, so one broken config cannot eat
 //     the campaign's wall-clock budget. Which cells get skipped depends on
 //     execution order, so quarantine is inherently placement-dependent:
-//     leave it off in determinism-sensitive sweeps.
+//     leave it off in determinism-sensitive sweeps. The gate, the skip
+//     result and the failure counts live in one QuarantineLedger, which
+//     the campaignd oracle and coordinator (src/campaignd) use too.
 //   * Repro bundles. With repro_dir set, each finally-failed run writes
 //     <repro_dir>/run-<index>.json: coordinates, seeds, error, scalars and
 //     the run's recorded protocol violations -- a self-contained repro
@@ -69,11 +77,13 @@
 //     land in the run's report and repro bundle.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -191,6 +201,12 @@ struct RunSpec {
   std::size_t rep = 0;     ///< replica within the cell (the "seed range")
   std::uint64_t seed = 0;  ///< campaign_run_seed(campaign seed, index)
 };
+
+/// Run `index` of a `reps`-wide matrix under campaign seed `campaign_seed`.
+/// The single place a run's coordinates and seed are derived; every
+/// executor (pool thread, campaignd worker, oracle, coordinator) calls it.
+RunSpec run_spec(std::uint64_t campaign_seed, std::size_t reps,
+                 std::size_t index) noexcept;
 
 /// What one run left behind. `scalars` is the body's own extract (escape
 /// counts, scoreboard errors, throughput...); `artifact` is an optional
@@ -320,6 +336,72 @@ struct RunShard {
   std::unique_ptr<Observability> obs;  ///< the engine-armed bundle
 };
 
+/// The config-quarantine ledger (CampaignOptions::quarantine_after): one
+/// finally-failed count per config, the skip gate built on those counts
+/// and the canonical skip result. The counts are atomics because pool
+/// threads share one ledger (relaxed order: quarantine is a placement-
+/// dependent budget, not a synchronization point). Disabled -- nothing
+/// counted, nothing skipped -- when quarantine_after is 0.
+class QuarantineLedger {
+ public:
+  QuarantineLedger(std::size_t configs, unsigned quarantine_after);
+
+  /// The skip result for `spec` when its config already burned its failure
+  /// budget ("config N quarantined after K failed runs", attempts == 0);
+  /// nullopt when the run must execute.
+  std::optional<RunResult> skip(const RunSpec& spec) const;
+
+  /// Charges one finished run to its config: only an executed failure
+  /// counts (a quarantine skip, attempts == 0, was never run).
+  void note(const RunSpec& spec, bool ok, unsigned attempts) noexcept;
+
+  /// Configs at or over the budget, ascending.
+  std::vector<std::size_t> quarantined_configs() const;
+
+ private:
+  std::size_t configs_;
+  unsigned after_;
+  std::unique_ptr<std::atomic<std::uint32_t>[]> failures_;
+};
+
+/// A finished campaign: per-run results, their run-index-order fold and the
+/// supervision/host numbers. Campaign stores one and campaignd's
+/// Coordinator::Outcome extends it; to_json()/health_json() are the one
+/// renderer of both documents, so every engine's artifacts are
+/// byte-identical by construction. Non-copyable (Registry is).
+struct CampaignOutcome {
+  std::vector<RunResult> results;  ///< run-index order
+  Report report;                   ///< merged fold + campaign manifests
+  metrics::Registry metrics;       ///< merged fold
+  metrics::TimeSeriesStore timeline;  ///< merged fold (engine telemetry)
+  std::vector<std::size_t> quarantined_configs;  ///< ascending
+  std::size_t configs = 0;
+  std::size_t reps = 0;
+  std::uint64_t seed = 1;
+  SloGate slo;                ///< health/slo sections (budget <= 0: omitted)
+  unsigned workers_used = 1;  ///< host section only
+  double wall_seconds = 0.0;  ///< host section only
+
+  /// The campaign-level JSON artifact: matrix shape + seed, per-run
+  /// results in index order, and the merged report/metrics reduction.
+  /// With include_host_stats=false the volatile host section (worker
+  /// count, wall time, runs/sec) is omitted and the document is
+  /// bit-identical across worker counts and engines.
+  std::string to_json(bool include_host_stats = true) const;
+
+  /// Deterministic campaign-health document: run totals (ok / failed /
+  /// quarantined), SLO breach totals, the worst observed slo.metric
+  /// percentile and its run, and the quarantined-config list -- all
+  /// derived from results in run-index order. include_host_stats=true
+  /// appends the volatile host section (workers, wall seconds, runs/sec).
+  std::string health_json(bool include_host_stats = false) const;
+
+  /// Appends the failure and SLO manifests -- one report entry per failed /
+  /// SLO-breaching run, in run-index order -- to `report`. The last step of
+  /// every engine's fold.
+  void append_manifests();
+};
+
 class Campaign {
  public:
   /// The run body. Invoked once per matrix cell, on a pool thread; must be
@@ -335,11 +417,11 @@ class Campaign {
   Campaign(const Campaign&) = delete;
   Campaign& operator=(const Campaign&) = delete;
 
-  std::size_t configs() const noexcept { return configs_; }
-  std::size_t reps() const noexcept { return reps_; }
-  std::size_t runs() const noexcept { return configs_ * reps_; }
-  unsigned workers() const noexcept { return workers_; }
-  std::uint64_t seed() const noexcept { return opt_.seed; }
+  std::size_t configs() const noexcept { return out_.configs; }
+  std::size_t reps() const noexcept { return out_.reps; }
+  std::size_t runs() const noexcept { return out_.configs * out_.reps; }
+  unsigned workers() const noexcept { return out_.workers_used; }
+  std::uint64_t seed() const noexcept { return out_.seed; }
 
   /// Executes every cell of the matrix across the pool and reduces the
   /// shards. Blocks until all runs finish. May be called once.
@@ -348,18 +430,22 @@ class Campaign {
   // -- results (valid after run()) ----------------------------------------
 
   /// Per-run results in run-index order, independent of worker count.
-  const std::vector<RunResult>& results() const noexcept { return results_; }
+  const std::vector<RunResult>& results() const noexcept {
+    return out_.results;
+  }
 
   /// Reduction of every worker's registry (counters add, gauges max,
   /// histogram buckets add).
-  const metrics::Registry& merged_metrics() const noexcept { return merged_; }
+  const metrics::Registry& merged_metrics() const noexcept {
+    return out_.metrics;
+  }
 
   /// Reduction of every run's Report, folded in run-index order so entry
   /// order and the entry cap are worker-count independent too. Kernel
   /// counters aggregate across runs (events add, peak depth maxes); the
   /// pool high-water reads 0 -- arena capacity belongs to the worker, not
   /// to any run (see CampaignOptions::capture_run_reports).
-  const Report& merged_report() const noexcept { return merged_report_; }
+  const Report& merged_report() const noexcept { return out_.report; }
 
   /// Runs whose body threw (quarantine-skipped cells included).
   std::size_t failed() const noexcept;
@@ -367,10 +453,10 @@ class Campaign {
   /// Config indices quarantined during the run (quarantine_after > 0);
   /// sorted ascending.
   const std::vector<std::size_t>& quarantined() const noexcept {
-    return quarantined_;
+    return out_.quarantined_configs;
   }
   bool config_quarantined(std::size_t config) const noexcept {
-    for (std::size_t q : quarantined_) {
+    for (std::size_t q : out_.quarantined_configs) {
       if (q == config) return true;
     }
     return false;
@@ -383,36 +469,33 @@ class Campaign {
   /// overlap (every run starts at t=0); consumers group by run via the
   /// per-run artifacts when they need separation.
   const metrics::TimeSeriesStore& merged_timeline() const noexcept {
-    return merged_timeline_;
+    return out_.timeline;
   }
 
-  /// Deterministic campaign-health document: run totals (ok / failed /
-  /// quarantined), SLO breach totals, the worst observed slo.metric
-  /// percentile and its run, and the quarantined-config list -- all
-  /// derived from results() in run-index order, so the document is
-  /// byte-identical across worker counts. include_host_stats=true appends
-  /// the volatile host section (workers, wall seconds, runs/sec).
-  std::string health_json(bool include_host_stats = false) const;
+  /// CampaignOutcome::health_json of this campaign: byte-identical across
+  /// worker counts without host stats.
+  std::string health_json(bool include_host_stats = false) const {
+    return out_.health_json(include_host_stats);
+  }
 
   /// Writes health_json() to `path`; returns false (no throw) on I/O
   /// failure.
   bool write_health_json(const std::string& path,
                          bool include_host_stats = false) const;
 
-  double wall_seconds() const noexcept { return wall_seconds_; }
+  double wall_seconds() const noexcept { return out_.wall_seconds; }
   double runs_per_sec() const noexcept {
-    return wall_seconds_ > 0.0
-               ? static_cast<double>(runs()) / wall_seconds_
+    return out_.wall_seconds > 0.0
+               ? static_cast<double>(runs()) / out_.wall_seconds
                : 0.0;
   }
 
-  /// The campaign-level JSON artifact: matrix shape + seed, per-run
-  /// results in index order, and the merged report/metrics reduction.
-  /// With include_host_stats=false the volatile host section (worker
-  /// count, wall time, runs/sec) is omitted and the document is
-  /// bit-identical across worker counts -- the determinism suite diffs
-  /// exactly this.
-  std::string to_json(bool include_host_stats = true) const;
+  /// CampaignOutcome::to_json of this campaign: with
+  /// include_host_stats=false, bit-identical across worker counts -- the
+  /// determinism suite diffs exactly this.
+  std::string to_json(bool include_host_stats = true) const {
+    return out_.to_json(include_host_stats);
+  }
 
   /// Writes to_json() to `path`; returns false (with no throw) on I/O
   /// failure so benches can run from read-only trees.
@@ -425,27 +508,17 @@ class Campaign {
   /// shared tallies and emits a progress line on the configured cadence.
   void note_run_done(const RunResult& r);
 
-  std::size_t configs_;
-  std::size_t reps_;
   CampaignOptions opt_;
-  unsigned workers_ = 1;
   bool ran_ = false;
-
-  std::vector<RunResult> results_;
-  std::vector<Report> run_reports_;  // merge staging; cleared after run()
-  // Per-run timeline staging (engine telemetry only), folded in run-index
-  // order into merged_timeline_ after the pool joins.
-  std::vector<metrics::TimeSeriesStore> run_timelines_;
-  metrics::Registry merged_;
-  Report merged_report_;
-  metrics::TimeSeriesStore merged_timeline_;
-  std::vector<std::size_t> quarantined_;
-  double wall_seconds_ = 0.0;
+  CampaignOutcome out_;
+  QuarantineLedger ledger_;
 
   // Work distribution: pool threads claim run indices from this cursor.
-  // Defined in campaign.cpp to keep <atomic>/<thread> out of the header.
-  struct Cursor;
-  Cursor* cursor_ = nullptr;
+  std::atomic<std::size_t> next_{0};
+  std::vector<Report> run_reports_;  // merge staging; cleared after run()
+  // Per-run timeline staging (engine telemetry only), folded in run-index
+  // order into the outcome's timeline after the pool joins.
+  std::vector<metrics::TimeSeriesStore> run_timelines_;
   // Streaming-health accounting (progress sink); campaign.cpp-local type.
   struct Live;
   Live* live_ = nullptr;
@@ -460,10 +533,11 @@ class Campaign {
 /// when report_out is non-null -- the run's placement-independent Report
 /// snapshot (kernel pool high-water zeroed). With engine telemetry armed
 /// and timeline_out non-null, the run's sampled series are copied there
-/// (left empty when the sampler never ticked). Quarantine gating and repro
-/// bundles stay with the caller: this function never touches state outside
-/// the shard and its three out-parameters, which is what lets a campaignd
-/// worker process produce bit-identical runs to the in-process pool.
+/// (left empty when the sampler never ticked). Quarantine gating
+/// (QuarantineLedger) and repro bundles stay with the caller: this
+/// function never touches state outside the shard and its three
+/// out-parameters, which is what lets a campaignd worker process produce
+/// bit-identical runs to the in-process pool.
 void execute_run(RunShard& shard, const CampaignOptions& opt,
                  const RunSpec& spec, unsigned worker_index,
                  const Campaign::Body& body, RunResult& result,
@@ -478,38 +552,5 @@ void execute_run(RunShard& shard, const CampaignOptions& opt,
 bool write_repro_bundle(const std::string& dir, std::uint64_t campaign_seed,
                         std::size_t configs, std::size_t reps,
                         const RunSpec& spec, RunResult& result);
-
-// -- canonical campaign artifacts (shared with src/campaignd) ---------------
-
-/// Inputs to the canonical campaign artifact generators. Campaign::to_json
-/// / health_json and the campaignd coordinator both render their documents
-/// through these, so a distributed campaign's artifacts are byte-identical
-/// to the in-process engine's by construction.
-struct CampaignArtifacts {
-  std::size_t configs = 0;
-  std::size_t reps = 0;
-  std::uint64_t seed = 1;
-  const std::vector<RunResult>* results = nullptr;        ///< run-index order
-  const Report* report = nullptr;                         ///< merged fold
-  const metrics::Registry* metrics = nullptr;             ///< merged fold
-  /// Quarantined config list (nullptr or empty: section omitted).
-  const std::vector<std::size_t>* quarantined_configs = nullptr;
-  SloGate slo;                ///< health/slo sections (budget <= 0: omitted)
-  unsigned workers = 1;       ///< host section only
-  double wall_seconds = 0.0;  ///< host section only
-};
-
-/// The campaign-level JSON artifact (see Campaign::to_json for the shape).
-std::string campaign_json(const CampaignArtifacts& a, bool include_host_stats);
-
-/// The deterministic campaign-health document (see Campaign::health_json).
-std::string campaign_health_json(const CampaignArtifacts& a,
-                                 bool include_host_stats);
-
-/// Appends the failure and SLO manifests -- one merged-report entry per
-/// failed / SLO-breaching run, folded in run-index order -- to `report`.
-void append_campaign_manifests(const std::vector<RunResult>& results,
-                               std::size_t reps, const SloGate& slo,
-                               Report& report);
 
 }  // namespace mts::sim

@@ -27,6 +27,7 @@
 #include "campaignd/net.hpp"
 #include "campaignd/service.hpp"
 #include "campaignd/wire.hpp"
+#include "campaignd/workload.hpp"
 #include "sim/campaign.hpp"
 
 namespace campaignd = mts::campaignd;
@@ -385,6 +386,86 @@ TEST(CampaigndChaos, AllSlotsRetiredFailsAfterCheckpoint) {
   std::ifstream in(ckpt);
   EXPECT_TRUE(in.good());
   std::remove(ckpt.c_str());
+}
+
+// -- One supervision policy across engines ---------------------------------
+
+TEST(CampaigndChaos, QuarantineParityAcrossEngines) {
+  REQUIRE_WORKER_BIN();
+  JobSpec job;
+  job.workload = "chaos_soak";
+  job.params = json::parse(R"({"cycles":50,"fail_indices":[0,1,5]})");
+  job.configs = 3;
+  job.reps = 4;
+  job.opt.seed = 7;
+  job.opt.quarantine_after = 2;
+
+  // Threads engine, sequential: quarantine is placement-dependent.
+  sim::CampaignOptions topt = job.opt;
+  topt.workers = 1;
+  sim::Campaign threads(job.configs, job.reps, topt);
+  const std::unique_ptr<campaignd::Workload> wl =
+      campaignd::make_workload(job.workload, job.params);
+  threads.run([&wl](sim::CampaignContext& ctx) {
+    wl->begin_run();
+    wl->run(ctx);
+  });
+
+  Coordinator::Outcome local;
+  campaignd::run_local(job, local);
+
+  CoordinatorOptions opt = fast_opts(1);
+  opt.unit_size = 1;
+  Coordinator::Outcome dist;
+  Coordinator coord(job, opt);
+  coord.run(dist);
+
+  const std::string doc = threads.to_json(false);
+  const std::string health = threads.health_json(false);
+  EXPECT_EQ(local.to_json(false), doc);
+  EXPECT_EQ(dist.to_json(false), doc);
+  EXPECT_EQ(local.health_json(false), health);
+  EXPECT_EQ(dist.health_json(false), health);
+  EXPECT_NE(doc.find("\"quarantined_configs\": [0]"), std::string::npos);
+  EXPECT_NE(health.find("\"quarantined_configs\": [0]"), std::string::npos);
+}
+
+TEST(CampaigndOracle, RunFilterIsValidatedLikeTheCoordinator) {
+  JobSpec job = small_job(2, 2);
+  job.run_filter = {1, 99};
+  Coordinator::Outcome out;
+  EXPECT_THROW(campaignd::run_local(job, out), campaignd::CoordinatorError);
+}
+
+TEST(CampaigndOracle, DuplicateRunFilterIndexRunsOnce) {
+  // A duplicate executing twice would charge config 0 two failures and
+  // quarantine run 2.
+  JobSpec job = small_job(2, 3);
+  job.workload = "chaos_soak";
+  job.params.set("fail_indices", json::parse("[1]"));
+  job.opt.quarantine_after = 2;
+  job.run_filter = {2, 1, 1};
+  Coordinator::Outcome out;
+  campaignd::run_local(job, out);
+  ASSERT_EQ(out.results.size(), 2u);
+  EXPECT_EQ(out.results[0].index, 1u);
+  EXPECT_FALSE(out.results[0].ok);
+  EXPECT_EQ(out.results[1].index, 2u);
+  EXPECT_TRUE(out.results[1].ok) << out.results[1].error;
+  EXPECT_TRUE(out.quarantined_configs.empty());
+}
+
+TEST(CampaigndChaos, HostSectionReportsTheSpawnedFleet) {
+  REQUIRE_WORKER_BIN();
+  const JobSpec job = small_job(1, 1);
+  Coordinator::Outcome out;
+  Coordinator coord(job, fast_opts(2));
+  coord.run(out);
+  EXPECT_EQ(out.workers_used, 1u);
+  EXPECT_NE(out.to_json(true).find("\"host\": {\"workers\": 1,"),
+            std::string::npos);
+  EXPECT_NE(out.health_json(true).find("\"host\": {\"workers\": 1,"),
+            std::string::npos);
 }
 
 // -- Repro bundle round-trip through a worker process -----------------------

@@ -29,7 +29,7 @@ Fails (exit 1) when any of these regress beyond `tolerance` (default 15%):
     same fifo_cycles workload (smoke vs full are not comparable). The
     armed number is always informational.
 
-When the telemetry JSON pair (BENCH_telemetry.json) is given, two more
+When the telemetry JSON pair (BENCH_telemetry.json) is given, three more
 gates apply:
 
   * fifo_soak.cycles_per_sec_disarmed -- the FIFO soak with the telemetry
@@ -41,6 +41,11 @@ gates apply:
     max(200%, recorded * 2), gated only when both sides measured the same
     fifo_cycles workload (overhead grows with soak length). Sampler
     samples/sec rates are reported informationally.
+  * fifo_soak.allocs_per_million_cycles_disarmed -- heap allocations of the
+    disarmed FIFO soak must stay under recorded * (1 + tolerance), gated
+    only when both sides measured the same fifo_cycles workload (same rule
+    as the disarmed throughput gate). Gate evaluation allocates nothing, so
+    a rise means a new allocation crept onto the per-cycle path.
 """
 import json
 import sys
@@ -167,6 +172,25 @@ def main() -> int:
                 print(
                     f"telemetry_disarmed_fifo_cycles_per_sec: recorded "
                     f"{tel_rec[key]:.3e}, fresh {tel_new[key]:.3e} "
+                    "(informational: workload shapes differ, "
+                    "e.g. smoke vs full)"
+                )
+        key = "allocs_per_million_cycles_disarmed"
+        if key in tel_rec and key in tel_new:
+            if tel_rec.get("cycles") == tel_new.get("cycles"):
+                ceiling = tel_rec[key] * (1.0 + tolerance)
+                ok = tel_new[key] <= ceiling
+                failed = failed or not ok
+                print(
+                    f"telemetry_disarmed_fifo_allocs_per_million_cycles: "
+                    f"recorded {tel_rec[key]:.3e}, fresh {tel_new[key]:.3e} "
+                    f"(ceiling {ceiling:.3e}) "
+                    f"-> {'OK' if ok else 'REGRESSION'}"
+                )
+            else:
+                print(
+                    f"telemetry_disarmed_fifo_allocs_per_million_cycles: "
+                    f"recorded {tel_rec[key]:.3e}, fresh {tel_new[key]:.3e} "
                     "(informational: workload shapes differ, "
                     "e.g. smoke vs full)"
                 )

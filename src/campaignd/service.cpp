@@ -5,6 +5,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -81,36 +82,45 @@ json::Value coordinator_options_to_json(const CoordinatorOptions& opt) {
   return v;
 }
 
+namespace {
+
+/// `v[key]` as a T, or `dflt` when absent. Throws ProtocolError when the
+/// value does not fit T, so a client's 4294967296 cannot wrap to 0.
+template <class T>
+T get_fitting(const json::Value& v, const std::string& key, T dflt) {
+  const std::uint64_t raw = v.get_u64(key, static_cast<std::uint64_t>(dflt));
+  if (raw > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    throw json::ProtocolError("coordinator option '" + key + "' = " +
+                              std::to_string(raw) + " is out of range");
+  }
+  return static_cast<T>(raw);
+}
+
+}  // namespace
+
 CoordinatorOptions coordinator_options_from_json(const json::Value& v) {
   CoordinatorOptions opt;
-  opt.workers = static_cast<unsigned>(v.get_u64("workers", opt.workers));
+  opt.workers = get_fitting(v, "workers", opt.workers);
   if (const json::Value* c = v.find("worker_cmd")) {
     for (const json::Value& a : c->as_array()) {
       opt.worker_cmd.push_back(a.as_string());
     }
   }
-  opt.unit_size = static_cast<std::size_t>(v.get_u64("unit_size", 0));
-  opt.heartbeat_interval_ms = static_cast<int>(v.get_u64(
-      "heartbeat_interval_ms",
-      static_cast<std::uint64_t>(opt.heartbeat_interval_ms)));
-  opt.heartbeat_timeout_ms = static_cast<int>(v.get_u64(
-      "heartbeat_timeout_ms",
-      static_cast<std::uint64_t>(opt.heartbeat_timeout_ms)));
-  opt.progress_timeout_ms = static_cast<int>(v.get_u64(
-      "progress_timeout_ms",
-      static_cast<std::uint64_t>(opt.progress_timeout_ms)));
-  opt.unit_retries =
-      static_cast<unsigned>(v.get_u64("unit_retries", opt.unit_retries));
-  opt.backoff_initial_ms = static_cast<int>(v.get_u64(
-      "backoff_initial_ms", static_cast<std::uint64_t>(opt.backoff_initial_ms)));
-  opt.backoff_max_ms = static_cast<int>(v.get_u64(
-      "backoff_max_ms", static_cast<std::uint64_t>(opt.backoff_max_ms)));
-  opt.respawn_limit =
-      static_cast<unsigned>(v.get_u64("respawn_limit", opt.respawn_limit));
+  opt.unit_size = get_fitting(v, "unit_size", opt.unit_size);
+  opt.heartbeat_interval_ms =
+      get_fitting(v, "heartbeat_interval_ms", opt.heartbeat_interval_ms);
+  opt.heartbeat_timeout_ms =
+      get_fitting(v, "heartbeat_timeout_ms", opt.heartbeat_timeout_ms);
+  opt.progress_timeout_ms =
+      get_fitting(v, "progress_timeout_ms", opt.progress_timeout_ms);
+  opt.unit_retries = get_fitting(v, "unit_retries", opt.unit_retries);
+  opt.backoff_initial_ms =
+      get_fitting(v, "backoff_initial_ms", opt.backoff_initial_ms);
+  opt.backoff_max_ms = get_fitting(v, "backoff_max_ms", opt.backoff_max_ms);
+  opt.respawn_limit = get_fitting(v, "respawn_limit", opt.respawn_limit);
   opt.checkpoint_path = v.get_string("checkpoint_path", "");
   opt.checkpoint_every =
-      static_cast<std::size_t>(v.get_u64("checkpoint_every",
-                                         opt.checkpoint_every));
+      get_fitting(v, "checkpoint_every", opt.checkpoint_every);
   opt.resume = v.get_bool("resume", false);
   if (const json::Value* c = v.find("chaos")) opt.chaos = *c;
   return opt;

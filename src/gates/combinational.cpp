@@ -7,14 +7,32 @@
 
 namespace mts::gates {
 
+namespace {
+
+/// A gate's input wires as the bit sequence gate_truth reads.
+struct InputBits {
+  const std::vector<sim::Wire*>& wires;
+  std::size_t size() const noexcept { return wires.size(); }
+  bool operator[](std::size_t i) const noexcept { return wires[i]->read(); }
+};
+
+}  // namespace
+
 Gate::Gate(sim::Simulation& sim, std::string name, std::vector<sim::Wire*> inputs,
-           sim::Wire& out, Func fn, Time delay)
+           sim::Wire& out, GateOp op, Time delay)
     : name_(std::move(name)),
       inputs_(std::move(inputs)),
       out_(out),
-      fn_(std::move(fn)),
+      op_(op),
       delay_(delay) {
   MTS_ASSERT(!inputs_.empty(), "gate '" + name_ + "' has no inputs");
+  const bool unary = op_ == GateOp::kNot || op_ == GateOp::kBuf;
+  const std::size_t fanin = inputs_.size();
+  const std::size_t want = unary ? 1 : op_ == GateOp::kMux ? 3 : fanin;
+  if (fanin != want) {
+    throw ConfigError("gate '" + name_ + "' needs " + std::to_string(want) +
+                      " inputs, got " + std::to_string(fanin));
+  }
   for (sim::Wire* in : inputs_) {
     MTS_ASSERT(in != nullptr, "gate '" + name_ + "' has a null input");
     in->on_change([this](bool, bool) { evaluate(); });
@@ -23,62 +41,8 @@ Gate::Gate(sim::Simulation& sim, std::string name, std::vector<sim::Wire*> input
 }
 
 void Gate::evaluate() {
-  std::vector<bool> values;
-  values.reserve(inputs_.size());
-  for (const sim::Wire* in : inputs_) values.push_back(in->read());
-  out_.write(fn_(values), delay_, sim::DelayKind::kInertial);
-}
-
-Gate::Func gate_func(GateOp op) {
-  switch (op) {
-    case GateOp::kNot:
-      return [](const std::vector<bool>& v) { return !v[0]; };
-    case GateOp::kBuf:
-      return [](const std::vector<bool>& v) { return v[0]; };
-    case GateOp::kAnd:
-      return [](const std::vector<bool>& v) {
-        for (bool b : v)
-          if (!b) return false;
-        return true;
-      };
-    case GateOp::kOr:
-      return [](const std::vector<bool>& v) {
-        for (bool b : v)
-          if (b) return true;
-        return false;
-      };
-    case GateOp::kNand:
-      return [](const std::vector<bool>& v) {
-        for (bool b : v)
-          if (!b) return true;
-        return false;
-      };
-    case GateOp::kNor:
-      return [](const std::vector<bool>& v) {
-        for (bool b : v)
-          if (b) return false;
-        return true;
-      };
-    case GateOp::kXor:
-      return [](const std::vector<bool>& v) {
-        bool acc = false;
-        for (bool b : v) acc = acc != b;
-        return acc;
-      };
-    case GateOp::kAndNotLast:
-      return [](const std::vector<bool>& v) {
-        for (std::size_t i = 0; i + 1 < v.size(); ++i)
-          if (!v[i]) return false;
-        return !v.back();
-      };
-    case GateOp::kOrNotLast:
-      return [](const std::vector<bool>& v) {
-        for (std::size_t i = 0; i + 1 < v.size(); ++i)
-          if (v[i]) return true;
-        return !v.back();
-      };
-  }
-  throw ConfigError("unknown GateOp");
+  out_.write(gate_truth(op_, InputBits{inputs_}), delay_,
+             sim::DelayKind::kInertial);
 }
 
 Time gate_delay(GateOp op, std::size_t fanin, const DelayModel& dm, unsigned fanout) {
@@ -99,14 +63,13 @@ sim::Wire& make_gate(Netlist& nl, const std::string& name, GateOp op,
 
 Gate& gate_into(Netlist& nl, const std::string& name, GateOp op,
                 std::vector<sim::Wire*> inputs, sim::Wire& out, Time delay) {
-  return nl.add<Gate>(nl.sim(), nl.qualified(name), std::move(inputs), out,
-                      gate_func(op), delay);
+  return nl.add<Gate>(nl.sim(), nl.qualified(name), std::move(inputs), out, op,
+                      delay);
 }
 
 sim::Wire& make_delay(Netlist& nl, const std::string& name, sim::Wire& in, Time delay) {
   sim::Wire& out = nl.wire(name);
-  nl.add<Gate>(nl.sim(), nl.qualified(name), std::vector<sim::Wire*>{&in}, out,
-               gate_func(GateOp::kBuf), delay);
+  gate_into(nl, name, GateOp::kBuf, {&in}, out, delay);
   return out;
 }
 

@@ -7,7 +7,7 @@
 // functions whose depth grows with FIFO capacity.
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -17,18 +17,49 @@
 
 namespace mts::gates {
 
-enum class GateOp { kNot, kBuf, kAnd, kOr, kNand, kNor, kXor, kAndNotLast, kOrNotLast };
+/// The logic function of a Gate. kAndNotLast is and(in[0..n-2]) & !in[n-1],
+/// kOrNotLast or(in[0..n-2]) | !in[n-1], kMux in[0] ? in[1] : in[2] and
+/// kAndNotRest in[0] & !or(in[1..n-1]). kNot/kBuf take exactly one input and
+/// kMux exactly three; every other op takes any fan-in >= 1.
+enum class GateOp { kNot, kBuf, kAnd, kOr, kNand, kNor, kXor, kAndNotLast,
+                    kOrNotLast, kMux, kAndNotRest };
 
-/// Generic single-output combinational gate.
+/// The one truth function of every GateOp, shared by Gate and the tests.
+/// `in` is any indexable bit sequence (`size()` and `operator[]` yielding
+/// bool), so a Gate evaluates straight off its input wires without copying
+/// them. The fan-in must fit `op` (see GateOp).
+template <class Bits>
+bool gate_truth(GateOp op, const Bits& in) {
+  const std::size_t n = in.size();
+  std::size_t head = 0;  // set bits among in[0..n-2]
+  for (std::size_t i = 0; i + 1 < n; ++i) head += in[i] ? 1u : 0u;
+  const bool last = in[n - 1];
+  const std::size_t ones = head + (last ? 1u : 0u);
+  switch (op) {
+    case GateOp::kNot: return !in[0];
+    case GateOp::kBuf: return in[0];
+    case GateOp::kAnd: return ones == n;
+    case GateOp::kOr: return ones != 0;
+    case GateOp::kNand: return ones != n;
+    case GateOp::kNor: return ones == 0;
+    case GateOp::kXor: return ones % 2 == 1;
+    case GateOp::kAndNotLast: return head == n - 1 && !last;
+    case GateOp::kOrNotLast: return head != 0 || !last;
+    case GateOp::kMux: return in[0] ? in[1] : in[2];
+    case GateOp::kAndNotRest: return in[0] && ones == 1;
+  }
+  return false;
+}
+
+/// Generic single-output combinational gate computing `gate_truth(op, ...)`.
 class Gate {
  public:
-  using Func = std::function<bool(const std::vector<bool>&)>;
-
   /// `inputs` must stay alive as long as the gate; `delay` is inertial.
   /// The gate schedules an initial evaluation so outputs settle from the
-  /// initial input values once the simulation starts.
+  /// initial input values once the simulation starts. Throws ConfigError
+  /// when the fan-in does not fit `op`.
   Gate(sim::Simulation& sim, std::string name, std::vector<sim::Wire*> inputs,
-       sim::Wire& out, Func fn, Time delay);
+       sim::Wire& out, GateOp op, Time delay);
 
   Gate(const Gate&) = delete;
   Gate& operator=(const Gate&) = delete;
@@ -42,13 +73,9 @@ class Gate {
   std::string name_;
   std::vector<sim::Wire*> inputs_;
   sim::Wire& out_;
-  Func fn_;
+  GateOp op_;
   Time delay_;
 };
-
-/// Truth function for `op` (kAndNotLast computes and(ins[0..n-2]) & !ins[n-1];
-/// kOrNotLast likewise with or/!).
-Gate::Func gate_func(GateOp op);
 
 /// Number of logic inputs `op` presents for delay purposes.
 Time gate_delay(GateOp op, std::size_t fanin, const DelayModel& dm, unsigned fanout);

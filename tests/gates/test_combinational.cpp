@@ -19,25 +19,33 @@ struct Fixture {
 
 TEST(GateFunc, TruthTables) {
   auto v = [](std::initializer_list<bool> bits) { return std::vector<bool>(bits); };
-  EXPECT_TRUE(gate_func(GateOp::kNot)(v({false})));
-  EXPECT_FALSE(gate_func(GateOp::kNot)(v({true})));
-  EXPECT_TRUE(gate_func(GateOp::kBuf)(v({true})));
-  EXPECT_TRUE(gate_func(GateOp::kAnd)(v({true, true, true})));
-  EXPECT_FALSE(gate_func(GateOp::kAnd)(v({true, false, true})));
-  EXPECT_TRUE(gate_func(GateOp::kOr)(v({false, true})));
-  EXPECT_FALSE(gate_func(GateOp::kOr)(v({false, false})));
-  EXPECT_TRUE(gate_func(GateOp::kNand)(v({true, false})));
-  EXPECT_FALSE(gate_func(GateOp::kNand)(v({true, true})));
-  EXPECT_TRUE(gate_func(GateOp::kNor)(v({false, false})));
-  EXPECT_FALSE(gate_func(GateOp::kNor)(v({true, false})));
-  EXPECT_TRUE(gate_func(GateOp::kXor)(v({true, false, false})));
-  EXPECT_FALSE(gate_func(GateOp::kXor)(v({true, true})));
+  EXPECT_TRUE(gate_truth(GateOp::kNot, v({false})));
+  EXPECT_FALSE(gate_truth(GateOp::kNot, v({true})));
+  EXPECT_TRUE(gate_truth(GateOp::kBuf, v({true})));
+  EXPECT_TRUE(gate_truth(GateOp::kAnd, v({true, true, true})));
+  EXPECT_FALSE(gate_truth(GateOp::kAnd, v({true, false, true})));
+  EXPECT_TRUE(gate_truth(GateOp::kOr, v({false, true})));
+  EXPECT_FALSE(gate_truth(GateOp::kOr, v({false, false})));
+  EXPECT_TRUE(gate_truth(GateOp::kNand, v({true, false})));
+  EXPECT_FALSE(gate_truth(GateOp::kNand, v({true, true})));
+  EXPECT_TRUE(gate_truth(GateOp::kNor, v({false, false})));
+  EXPECT_FALSE(gate_truth(GateOp::kNor, v({true, false})));
+  EXPECT_TRUE(gate_truth(GateOp::kXor, v({true, false, false})));
+  EXPECT_FALSE(gate_truth(GateOp::kXor, v({true, true})));
   // a & b & !c
-  EXPECT_TRUE(gate_func(GateOp::kAndNotLast)(v({true, true, false})));
-  EXPECT_FALSE(gate_func(GateOp::kAndNotLast)(v({true, true, true})));
+  EXPECT_TRUE(gate_truth(GateOp::kAndNotLast, v({true, true, false})));
+  EXPECT_FALSE(gate_truth(GateOp::kAndNotLast, v({true, true, true})));
   // a | b | !c
-  EXPECT_TRUE(gate_func(GateOp::kOrNotLast)(v({false, false, false})));
-  EXPECT_FALSE(gate_func(GateOp::kOrNotLast)(v({false, false, true})));
+  EXPECT_TRUE(gate_truth(GateOp::kOrNotLast, v({false, false, false})));
+  EXPECT_FALSE(gate_truth(GateOp::kOrNotLast, v({false, false, true})));
+  // sel ? a : b
+  EXPECT_TRUE(gate_truth(GateOp::kMux, v({true, true, false})));
+  EXPECT_FALSE(gate_truth(GateOp::kMux, v({true, false, true})));
+  EXPECT_TRUE(gate_truth(GateOp::kMux, v({false, false, true})));
+  // a & !b & !c
+  EXPECT_TRUE(gate_truth(GateOp::kAndNotRest, v({true, false, false})));
+  EXPECT_FALSE(gate_truth(GateOp::kAndNotRest, v({true, false, true})));
+  EXPECT_FALSE(gate_truth(GateOp::kAndNotRest, v({false, false, false})));
 }
 
 TEST(Gate, EvaluatesAfterDelay) {
@@ -87,8 +95,31 @@ TEST(Gate, NoInputsRejected) {
   Fixture f;
   Wire& out = f.nl.wire("o");
   EXPECT_THROW(f.nl.add<Gate>(f.sim, "bad", std::vector<Wire*>{}, out,
-                              gate_func(GateOp::kAnd), 10),
+                              GateOp::kAnd, 10),
                AssertionError);
+}
+
+TEST(Gate, UnaryOpsRejectExtraInputs) {
+  Fixture f;
+  Wire& a = f.nl.wire("a");
+  Wire& b = f.nl.wire("b");
+  EXPECT_THROW(make_gate(f.nl, "not2", GateOp::kNot, {&a, &b}, f.dm), ConfigError);
+  EXPECT_THROW(make_gate(f.nl, "buf2", GateOp::kBuf, {&a, &b}, f.dm), ConfigError);
+  EXPECT_NO_THROW(make_gate(f.nl, "not1", GateOp::kNot, {&a}, f.dm));
+}
+
+TEST(Gate, MuxNeedsExactlyThreeInputs) {
+  Fixture f;
+  Wire& a = f.nl.wire("a");
+  Wire& b = f.nl.wire("b");
+  Wire& c = f.nl.wire("c");
+  Wire& d = f.nl.wire("d");
+  EXPECT_THROW(make_gate(f.nl, "mux2", GateOp::kMux, {&a, &b}, f.dm), ConfigError);
+  EXPECT_THROW(make_gate(f.nl, "mux4", GateOp::kMux, {&a, &b, &c, &d}, f.dm),
+               ConfigError);
+  EXPECT_NO_THROW(make_gate(f.nl, "mux3", GateOp::kMux, {&a, &b, &c}, f.dm));
+  EXPECT_NO_THROW(make_gate(f.nl, "andn1", GateOp::kAndNotLast, {&a}, f.dm));
+  EXPECT_NO_THROW(make_gate(f.nl, "and4", GateOp::kAnd, {&a, &b, &c, &d}, f.dm));
 }
 
 TEST(OrTree, WideOrComputesAnyAndScalesDepth) {

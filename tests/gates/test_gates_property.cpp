@@ -1,8 +1,11 @@
 // Property tests for the gate library: trees of any arity/size must equal
 // the flat reduction of their inputs for random patterns, and every GateOp
-// must match its reference function across random vectors.
+// must match an independent reference truth table over every input pattern
+// at every fan-in it accepts (up to 5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -74,31 +77,63 @@ TEST(TreeDepth, MatchesCeilLog) {
   EXPECT_EQ(tree_depth(17, 4), 3u);
 }
 
+// Reference truth table, written independently of gates::gate_truth.
+bool reference(GateOp op, const std::vector<bool>& v) {
+  const auto ones = std::count(v.begin(), v.end(), true);
+  const bool head_all = std::all_of(v.begin(), v.end() - 1, std::identity{});
+  const bool head_any = std::any_of(v.begin(), v.end() - 1, std::identity{});
+  const bool rest_any = std::any_of(v.begin() + 1, v.end(), std::identity{});
+  switch (op) {
+    case GateOp::kNot: return !v.at(0);
+    case GateOp::kBuf: return v.at(0);
+    case GateOp::kAnd: return ones == std::ssize(v);
+    case GateOp::kOr: return ones > 0;
+    case GateOp::kNand: return ones < std::ssize(v);
+    case GateOp::kNor: return ones == 0;
+    case GateOp::kXor: return ones % 2 == 1;
+    case GateOp::kAndNotLast: return head_all && !v.back();
+    case GateOp::kOrNotLast: return head_any || !v.back();
+    case GateOp::kMux: return v.at(0) ? v.at(1) : v.at(2);
+    case GateOp::kAndNotRest: return v.front() && !rest_any;
+  }
+  ADD_FAILURE() << "unknown op";
+  return false;
+}
+
+/// Fan-ins `op` accepts, within 1..5.
+std::vector<unsigned> fanins(GateOp op) {
+  if (op == GateOp::kNot || op == GateOp::kBuf) return {1};
+  if (op == GateOp::kMux) return {3};
+  return {1, 2, 3, 4, 5};
+}
+
 class GateOpProperty : public ::testing::TestWithParam<GateOp> {};
 
 TEST_P(GateOpProperty, SimulatedGateMatchesTruthFunction) {
   const GateOp op = GetParam();
-  const unsigned fanin = (op == GateOp::kNot || op == GateOp::kBuf) ? 1 : 3;
-
-  sim::Simulation sim(99);
-  Netlist nl(sim, "t");
-  const DelayModel dm = DelayModel::hp06();
-  std::vector<sim::Wire*> ins;
-  for (unsigned i = 0; i < fanin; ++i) {
-    ins.push_back(&nl.wire("i" + std::to_string(i)));
-  }
-  sim::Wire& out = make_gate(nl, "g", op, ins, dm);
-  const Gate::Func ref = gate_func(op);
-
-  for (unsigned pattern = 0; pattern < (1u << fanin); ++pattern) {
-    std::vector<bool> values;
+  for (const unsigned fanin : fanins(op)) {
+    sim::Simulation sim(99);
+    Netlist nl(sim, "t");
+    const DelayModel dm = DelayModel::hp06();
+    std::vector<sim::Wire*> ins;
     for (unsigned i = 0; i < fanin; ++i) {
-      const bool v = (pattern >> i & 1u) != 0;
-      ins[i]->set(v);
-      values.push_back(v);
+      ins.push_back(&nl.wire("i" + std::to_string(i)));
     }
-    sim.run_until(sim.now() + 10'000);
-    EXPECT_EQ(out.read(), ref(values)) << "pattern " << pattern;
+    sim::Wire& out = make_gate(nl, "g", op, ins, dm);
+
+    for (unsigned pattern = 0; pattern < (1u << fanin); ++pattern) {
+      std::vector<bool> values;
+      for (unsigned i = 0; i < fanin; ++i) {
+        const bool v = (pattern >> i & 1u) != 0;
+        ins[i]->set(v);
+        values.push_back(v);
+      }
+      sim.run_until(sim.now() + 10'000);
+      EXPECT_EQ(out.read(), reference(op, values))
+          << "fanin " << fanin << " pattern " << pattern;
+      EXPECT_EQ(gate_truth(op, values), reference(op, values))
+          << "fanin " << fanin << " pattern " << pattern;
+    }
   }
 }
 
@@ -106,7 +141,8 @@ INSTANTIATE_TEST_SUITE_P(
     Ops, GateOpProperty,
     ::testing::Values(GateOp::kNot, GateOp::kBuf, GateOp::kAnd, GateOp::kOr,
                       GateOp::kNand, GateOp::kNor, GateOp::kXor,
-                      GateOp::kAndNotLast, GateOp::kOrNotLast),
+                      GateOp::kAndNotLast, GateOp::kOrNotLast, GateOp::kMux,
+                      GateOp::kAndNotRest),
     [](const ::testing::TestParamInfo<GateOp>& info) {
       switch (info.param) {
         case GateOp::kNot: return std::string("Not");
@@ -118,6 +154,8 @@ INSTANTIATE_TEST_SUITE_P(
         case GateOp::kXor: return std::string("Xor");
         case GateOp::kAndNotLast: return std::string("AndNotLast");
         case GateOp::kOrNotLast: return std::string("OrNotLast");
+        case GateOp::kMux: return std::string("Mux");
+        case GateOp::kAndNotRest: return std::string("AndNotRest");
       }
       return std::string("Unknown");
     });

@@ -1,8 +1,10 @@
-// Golden-waveform regression for the Fig. 3 protocol traces.
+// Golden-waveform regression for the Fig. 3 protocol traces and the two
+// asynchronous-get designs of the interface matrix.
 //
-// Reproduces the exact circuits bench_fig3_protocols builds, dumps their
-// VCDs and compares an FNV-1a hash of the bytes against committed golden
-// values. This pins two things at once:
+// Reproduces the exact circuits bench_fig3_protocols builds, plus a
+// sync-async and an async-async protocol trace, dumps their VCDs and
+// compares an FNV-1a hash of the bytes against committed golden values.
+// This pins three things at once:
 //   1. the Fig. 3 protocol timing itself (any kernel or netlist change
 //      that shifts an edge shows up here first), and
 //   2. the fault subsystem's zero-cost-when-unarmed contract: a run with
@@ -13,8 +15,8 @@
 // Regenerating the goldens after an INTENDED timing change:
 //   ./tests/mts_test_faults --gtest_filter='GoldenWaveform.*' 2>&1 | \
 //       grep 'fnv1a='
-// then paste the printed hashes into kGoldenSyncHash / kGoldenAsyncHash
-// below (the failure message also prints both values).
+// then paste the printed hashes into the kGolden*Hash constants below (the
+// failure message also prints both values).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,9 +25,11 @@
 #include <string>
 
 #include "bfm/bfm.hpp"
+#include "fifo/async_async_fifo.hpp"
 #include "fifo/async_sync_fifo.hpp"
 #include "fifo/interface_sides.hpp"
 #include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/sync_async_fifo.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
 #include "sync/clock.hpp"
@@ -39,6 +43,9 @@ using sim::Time;
 // Committed golden hashes of the two Fig. 3 VCD files (FNV-1a 64-bit).
 constexpr std::uint64_t kGoldenSyncHash = 0xaf15d04f0b975cfeull;
 constexpr std::uint64_t kGoldenAsyncHash = 0xae0703a3183d1ca9ull;
+// Sync-async and async-async protocol traces (same recipe).
+constexpr std::uint64_t kGoldenSyncAsyncHash = 0x73572902e000ae08ull;
+constexpr std::uint64_t kGoldenAsyncAsyncHash = 0xcb1fbefb492346bcull;
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 1469598103934665603ull;
@@ -123,6 +130,74 @@ std::uint64_t async_vcd_hash(const std::string& path, sim::FaultPlan* plan,
   return fnv1a(slurp(path));
 }
 
+/// Sync-async FIFO: three synchronous puts, then back-to-back 4-phase gets
+/// (the first get blocks on the empty FIFO until the first put lands).
+std::uint64_t sync_async_vcd_hash(const std::string& path,
+                                  verify::Hub* hub = nullptr) {
+  fifo::FifoConfig cfg;
+  cfg.capacity = 4;
+  cfg.width = 8;
+  sim::Simulation sim(1);
+  if (hub != nullptr) hub->arm(sim);
+  const Time pp = 2 * fifo::SyncPutSide::min_period(cfg);
+  sync::Clock cp(sim, "clk_put", {pp, 4 * pp, 0.5, 0});
+  fifo::SyncAsyncFifo dut(sim, "fifo", cfg, cp.out());
+  bfm::AsyncGetDriver get(sim, "get", dut.get_req(), dut.get_ack(),
+                          dut.get_data(), cfg.dm, pp, nullptr);
+
+  sim::VcdWriter vcd(path);
+  vcd.watch(cp.out(), "clk_put");
+  vcd.watch(dut.req_put(), "req_put");
+  vcd.watch(dut.data_put(), 8, "data_put");
+  vcd.watch(dut.full(), "full");
+  vcd.watch(dut.get_req(), "get_req");
+  vcd.watch(dut.get_ack(), "get_ack");
+  vcd.watch(dut.get_data(), 8, "get_data");
+  vcd.start();
+
+  const Time react = cfg.dm.flop.clk_to_q + 1;
+  const Time t0 = 8 * pp;
+  for (int k = 0; k < 3; ++k) {
+    sim.sched().at(t0 + static_cast<Time>(k) * pp + react, [&dut, k] {
+      dut.data_put().set(0x61 + static_cast<std::uint64_t>(k));
+      dut.req_put().set(true);
+    });
+  }
+  sim.sched().at(t0 + 3 * pp + react, [&dut] { dut.req_put().set(false); });
+  sim.run_until(t0 + 16 * pp);
+  vcd.finish();
+  return fnv1a(slurp(path));
+}
+
+/// Async-async FIFO: a saturating 4-phase sender against a slower 4-phase
+/// receiver, so the trace shows the FIFO filling and put_ack withheld.
+std::uint64_t async_async_vcd_hash(const std::string& path,
+                                   verify::Hub* hub = nullptr) {
+  fifo::FifoConfig cfg;
+  cfg.capacity = 4;
+  cfg.width = 8;
+  sim::Simulation sim(1);
+  if (hub != nullptr) hub->arm(sim);
+  const Time gp = 2 * fifo::SyncGetSide::min_period(cfg);
+  fifo::AsyncAsyncFifo dut(sim, "fifo", cfg);
+  bfm::AsyncPutDriver put(sim, "put", dut.put_req(), dut.put_ack(),
+                          dut.put_data(), cfg.dm, 0, 0xFF, nullptr);
+  bfm::AsyncGetDriver get(sim, "get", dut.get_req(), dut.get_ack(),
+                          dut.get_data(), cfg.dm, gp, nullptr);
+
+  sim::VcdWriter vcd(path);
+  vcd.watch(dut.put_req(), "put_req");
+  vcd.watch(dut.put_ack(), "put_ack");
+  vcd.watch(dut.put_data(), 8, "put_data");
+  vcd.watch(dut.get_req(), "get_req");
+  vcd.watch(dut.get_ack(), "get_ack");
+  vcd.watch(dut.get_data(), 8, "get_data");
+  vcd.start();
+  sim.run_until(10 * gp);
+  vcd.finish();
+  return fnv1a(slurp(path));
+}
+
 TEST(GoldenWaveform, Fig3SyncVcdMatchesGolden) {
   const std::uint64_t h = sync_vcd_hash("golden_fig3_sync.vcd", nullptr);
   std::cout << "fnv1a= sync 0x" << std::hex << h << std::dec << "\n";
@@ -189,6 +264,38 @@ TEST(GoldenWaveform, ArmedMonitorHubIsBitIdentical) {
                            &async_hub),
             kGoldenAsyncHash);
   EXPECT_EQ(async_hub.total(), 0u) << async_hub.to_json();
+}
+
+TEST(GoldenWaveform, SyncAsyncVcdMatchesGolden) {
+  const std::uint64_t h = sync_async_vcd_hash("golden_sync_async.vcd");
+  std::cout << "fnv1a= sync_async 0x" << std::hex << h << std::dec << "\n";
+  EXPECT_EQ(h, kGoldenSyncAsyncHash)
+      << "sync_async.vcd changed: got 0x" << std::hex << h << ", golden 0x"
+      << kGoldenSyncAsyncHash
+      << ". If the timing change is intended, update kGoldenSyncAsyncHash.";
+}
+
+TEST(GoldenWaveform, AsyncAsyncVcdMatchesGolden) {
+  const std::uint64_t h = async_async_vcd_hash("golden_async_async.vcd");
+  std::cout << "fnv1a= async_async 0x" << std::hex << h << std::dec << "\n";
+  EXPECT_EQ(h, kGoldenAsyncAsyncHash)
+      << "async_async.vcd changed: got 0x" << std::hex << h << ", golden 0x"
+      << kGoldenAsyncAsyncHash
+      << ". If the timing change is intended, update kGoldenAsyncAsyncHash.";
+}
+
+TEST(GoldenWaveform, ArmedMonitorHubIsBitIdenticalForAsyncGetDesigns) {
+  // The same read-only contract for the two designs with an asynchronous
+  // get interface: every checker they attach must leave the trace intact.
+  verify::Hub sa_hub;
+  EXPECT_EQ(sync_async_vcd_hash("golden_sync_async_monitored.vcd", &sa_hub),
+            kGoldenSyncAsyncHash);
+  EXPECT_EQ(sa_hub.total(), 0u) << sa_hub.to_json();
+
+  verify::Hub aa_hub;
+  EXPECT_EQ(async_async_vcd_hash("golden_async_async_monitored.vcd", &aa_hub),
+            kGoldenAsyncAsyncHash);
+  EXPECT_EQ(aa_hub.total(), 0u) << aa_hub.to_json();
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // Tests of the extension experiments completing the 2x2 interface matrix.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "metrics/experiments.hpp"
+#include "metrics/table.hpp"
 
 namespace mts::metrics {
 namespace {
@@ -57,6 +60,75 @@ TEST(MatrixExtension, LatencyGrowsWithCapacityAcrossTheMatrix) {
             latency_sync_async(cfg_of(16, 8)).min_ns);
   EXPECT_LT(latency_async_async(cfg_of(4, 8)).min_ns,
             latency_async_async(cfg_of(16, 8)).min_ns);
+}
+
+/// One bench_matrix_extension row, formatted exactly as the bench prints
+/// it: design, places, put, get, latency min, latency max, validated.
+std::string matrix_row(unsigned design, unsigned cap) {
+  const fifo::FifoConfig cfg = cfg_of(cap, 8);
+  double put = 0.0;
+  double get = 0.0;
+  bool ok = false;
+  LatencyRow lat;
+  switch (design) {
+    case 0: {
+      const ThroughputRow tp = throughput_mixed_clock(cfg, 800);
+      put = tp.put;
+      get = tp.get;
+      ok = tp.validated;
+      lat = latency_mixed_clock(cfg, 12);
+      break;
+    }
+    case 1: {
+      const ThroughputRow tp = throughput_async_sync(cfg, 800);
+      put = tp.put;
+      get = tp.get;
+      ok = tp.validated;
+      lat = latency_async_sync(cfg, 12);
+      break;
+    }
+    case 2: {
+      const ThroughputRow tp = throughput_sync_async(cfg, 800);
+      put = tp.put;
+      get = tp.get;
+      ok = tp.validated;
+      lat = latency_sync_async(cfg);
+      break;
+    }
+    default: {
+      const AsyncAsyncRow tp = throughput_async_async(cfg, 400);
+      put = tp.put_mops;
+      get = tp.get_mops;
+      ok = tp.validated;
+      lat = latency_async_async(cfg);
+      break;
+    }
+  }
+  return std::to_string(cap) + "," + fmt(put, 0) + "," + fmt(get, 0) + "," +
+         fmt(lat.min_ns, 2) + "," + fmt(lat.max_ns, 2) + "," +
+         (ok ? "yes" : "NO");
+}
+
+TEST(MatrixExtension, BenchRowsArePinned) {
+  // The full 2x2 matrix at 4/8/16 places, as bench_matrix_extension --csv
+  // prints it. Pins the sync-async and async-async timing that no golden
+  // waveform covers; any change to a cell's netlist shows up here.
+  const char* const kDesigns[] = {"sync-sync", "async-sync", "sync-async",
+                                  "async-async"};
+  const char* const kPinned[] = {
+      "4,596,580,4.83,6.41,yes",  "4,428,580,4.74,6.32,yes",
+      "4,596,372,3.62,3.62,yes",  "4,404,404,2.99,2.99,yes",
+      "8,504,493,5.62,7.48,yes",  "8,356,493,5.58,7.44,yes",
+      "8,504,334,4.19,4.19,yes",  "8,336,334,3.48,3.48,yes",
+      "16,492,482,5.92,7.82,yes", "16,312,482,5.88,7.79,yes",
+      "16,492,287,4.48,4.48,yes", "16,294,287,3.93,3.93,yes",
+  };
+  const unsigned caps[] = {4, 8, 16};
+  for (unsigned c = 0; c < 3; ++c) {
+    for (unsigned d = 0; d < 4; ++d) {
+      EXPECT_EQ(matrix_row(d, caps[c]), kPinned[c * 4 + d]) << kDesigns[d];
+    }
+  }
 }
 
 }  // namespace

@@ -4,13 +4,15 @@
 // Both interfaces are 4-phase single-rail bundled data. Cells are
 // AsyncPutPart + AsyncGetPart glued by the serialized DV net. There are no
 // clocks, detectors or synchronizers: a full FIFO withholds put_ack, an
-// empty FIFO withholds get_ack.
+// empty FIFO withholds get_ack. Armed runs observe and check it like the
+// other three designs (transit observer, stream and over/underflow
+// checks), on the "async" trace track for both sides.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "fifo/cell_array.hpp"
 #include "fifo/cell_parts.hpp"
 #include "fifo/config.hpp"
 #include "gates/netlist.hpp"
@@ -38,16 +40,18 @@ class AsyncAsyncFifo {
   sim::Word& get_data() noexcept { return *get_data_; }
 
   // --- diagnostics ---
-  std::uint64_t overflow_count() const noexcept { return overflows_; }
-  std::uint64_t underflow_count() const noexcept { return underflows_; }
-  unsigned occupancy() const;
+  std::uint64_t overflow_count() const noexcept { return cells_.overflows(); }
+  std::uint64_t underflow_count() const noexcept {
+    return cells_.underflows();
+  }
+  unsigned occupancy() const { return cells_.occupancy(); }
 
   const FifoConfig& config() const noexcept { return cfg_; }
 
  private:
-  sim::Simulation& sim_;
   FifoConfig cfg_;
   gates::Netlist nl_;
+  CellArray cells_;
 
   sim::Wire* put_req_ = nullptr;
   sim::Word* put_data_ = nullptr;
@@ -55,12 +59,6 @@ class AsyncAsyncFifo {
   sim::Wire* get_req_ = nullptr;
   sim::Wire* get_ack_ = nullptr;
   sim::Word* get_data_ = nullptr;
-
-  std::vector<sim::Wire*> e_;
-  std::vector<sim::Wire*> f_;
-
-  std::uint64_t overflows_ = 0;
-  std::uint64_t underflows_ = 0;
 };
 
 }  // namespace mts::fifo

@@ -19,18 +19,16 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "fifo/cell_array.hpp"
 #include "fifo/cell_parts.hpp"
 #include "fifo/config.hpp"
 #include "gates/netlist.hpp"
 #include "gates/timing.hpp"
-#include "sim/observe.hpp"
 #include "sim/signal.hpp"
 #include "sim/simulation.hpp"
-#include "verify/checkers.hpp"
 
 namespace mts::fifo {
 
@@ -56,11 +54,13 @@ class AsyncSyncFifo {
 
   // --- diagnostics / verification hooks ---
   gates::TimingDomain& get_domain() noexcept { return get_dom_; }
-  std::uint64_t overflow_count() const noexcept { return overflows_; }
-  std::uint64_t underflow_count() const noexcept { return underflows_; }
-  unsigned occupancy() const;
-  sim::Wire& cell_f(unsigned i) { return *f_.at(i); }
-  sim::Wire& cell_e(unsigned i) { return *e_.at(i); }
+  std::uint64_t overflow_count() const noexcept { return cells_.overflows(); }
+  std::uint64_t underflow_count() const noexcept {
+    return cells_.underflows();
+  }
+  unsigned occupancy() const { return cells_.occupancy(); }
+  sim::Wire& cell_f(unsigned i) { return cells_.f(i); }
+  sim::Wire& cell_e(unsigned i) { return cells_.e(i); }
   sim::Wire& ne_raw() noexcept { return *ne_raw_; }
   sim::Wire& oe_raw() noexcept { return *oe_raw_; }
   sim::Wire& en_get() noexcept { return *en_get_b_; }
@@ -71,10 +71,10 @@ class AsyncSyncFifo {
   const FifoConfig& config() const noexcept { return cfg_; }
 
  private:
-  sim::Simulation& sim_;
   FifoConfig cfg_;
   gates::Netlist nl_;
   gates::TimingDomain get_dom_;
+  CellArray cells_;
 
   sim::Wire* put_req_ = nullptr;
   sim::Word* put_data_ = nullptr;
@@ -88,17 +88,6 @@ class AsyncSyncFifo {
   sim::Wire* ne_raw_ = nullptr;
   sim::Wire* oe_raw_ = nullptr;
   sim::Wire* en_get_b_ = nullptr;
-
-  std::vector<sim::Wire*> e_;
-  std::vector<sim::Wire*> f_;
-
-  std::uint64_t overflows_ = 0;
-  std::uint64_t underflows_ = 0;
-  /// Non-null only when observability was armed at construction time.
-  std::unique_ptr<sim::TransitObserver> obs_;
-  /// Non-null only when a verify::Hub was armed at construction time:
-  /// 4-phase handshake + bundled-data + detector + scoreboard checkers.
-  std::unique_ptr<verify::MonitorSet> mon_;
 };
 
 }  // namespace mts::fifo

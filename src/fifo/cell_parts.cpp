@@ -149,14 +149,4 @@ AsyncGetPart::AsyncGetPart(gates::Netlist& nl, unsigned index,
       initial_token ? ctrl::kOptStateHolding : ctrl::kOptStateIdle);
 }
 
-DvController::DvController(gates::Netlist& nl, unsigned index,
-                           const ctrl::PetriNet& net, sim::Wire& we,
-                           sim::Wire& re, sim::Time output_delay) {
-  e_ = &nl.wire(cell_name(index, "e"), true);
-  f_ = &nl.wire(cell_name(index, "f"), false);
-  nl.add<ctrl::PetriEngine>(nl.sim(), nl.qualified(cell_name(index, "dv")), net,
-                            std::vector<sim::Wire*>{&we, &re},
-                            std::vector<sim::Wire*>{e_, f_}, output_delay);
-}
-
 }  // namespace mts::fifo

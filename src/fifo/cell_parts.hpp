@@ -3,7 +3,8 @@
 // controller (DV)... these parts can be glued together ... to obtain a cell
 // implementation.").
 //
-// The four FIFO designs are assembled from these parts:
+// The four FIFO designs are assembled from these parts around one
+// CellArray (fifo/cell_array.hpp), which owns each cell's e_i/f_i state:
 //
 //   mixed-clock  = SyncPutPart  + SyncGetPart  + SR-latch DV
 //   async-sync   = AsyncPutPart + SyncGetPart  + DV_as Petri net
@@ -110,21 +111,6 @@ class AsyncGetPart {
  private:
   sim::Wire* re_ = nullptr;
   sim::Wire* gtok_ = nullptr;
-};
-
-/// Petri-net data-validity controller wrapper: owns the e_i/f_i wires and
-/// the engine executing the given net (dv_as_net or dv_linear_net).
-class DvController {
- public:
-  DvController(gates::Netlist& nl, unsigned index, const ctrl::PetriNet& net,
-               sim::Wire& we, sim::Wire& re, sim::Time output_delay);
-
-  sim::Wire& e() const noexcept { return *e_; }
-  sim::Wire& f() const noexcept { return *f_; }
-
- private:
-  sim::Wire* e_ = nullptr;
-  sim::Wire* f_ = nullptr;
 };
 
 }  // namespace mts::fifo

@@ -5,6 +5,7 @@
 #include "fifo/async_async_fifo.hpp"  // IWYU pragma: export
 #include "fifo/async_sync_fifo.hpp"   // IWYU pragma: export
 #include "fifo/async_timing.hpp"      // IWYU pragma: export
+#include "fifo/cell_array.hpp"        // IWYU pragma: export
 #include "fifo/cell_parts.hpp"        // IWYU pragma: export
 #include "fifo/config.hpp"            // IWYU pragma: export
 #include "fifo/detectors.hpp"         // IWYU pragma: export

@@ -15,18 +15,16 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "fifo/cell_array.hpp"
 #include "fifo/cell_parts.hpp"
 #include "fifo/config.hpp"
 #include "gates/netlist.hpp"
 #include "gates/timing.hpp"
-#include "sim/observe.hpp"
 #include "sim/signal.hpp"
 #include "sim/simulation.hpp"
-#include "verify/checkers.hpp"
 
 namespace mts::fifo {
 
@@ -50,11 +48,13 @@ class SyncAsyncFifo {
 
   // --- diagnostics / verification hooks ---
   gates::TimingDomain& put_domain() noexcept { return put_dom_; }
-  std::uint64_t overflow_count() const noexcept { return overflows_; }
-  std::uint64_t underflow_count() const noexcept { return underflows_; }
-  unsigned occupancy() const;
-  sim::Wire& cell_f(unsigned i) { return *f_.at(i); }
-  sim::Wire& cell_e(unsigned i) { return *e_.at(i); }
+  std::uint64_t overflow_count() const noexcept { return cells_.overflows(); }
+  std::uint64_t underflow_count() const noexcept {
+    return cells_.underflows();
+  }
+  unsigned occupancy() const { return cells_.occupancy(); }
+  sim::Wire& cell_f(unsigned i) { return cells_.f(i); }
+  sim::Wire& cell_e(unsigned i) { return cells_.e(i); }
   sim::Wire& en_put() noexcept { return *en_put_b_; }
 
   /// Minimum CLK_put period (same structure as the mixed-clock design).
@@ -63,10 +63,10 @@ class SyncAsyncFifo {
   const FifoConfig& config() const noexcept { return cfg_; }
 
  private:
-  sim::Simulation& sim_;
   FifoConfig cfg_;
   gates::Netlist nl_;
   gates::TimingDomain put_dom_;
+  CellArray cells_;
 
   sim::Wire* req_put_ = nullptr;
   sim::Word* data_put_ = nullptr;
@@ -75,16 +75,6 @@ class SyncAsyncFifo {
   sim::Wire* get_ack_ = nullptr;
   sim::Word* get_data_ = nullptr;
   sim::Wire* en_put_b_ = nullptr;
-
-  std::vector<sim::Wire*> e_;
-  std::vector<sim::Wire*> f_;
-
-  std::uint64_t overflows_ = 0;
-  std::uint64_t underflows_ = 0;
-  /// Non-null only when observability was armed at construction time.
-  std::unique_ptr<sim::TransitObserver> obs_;
-  /// Non-null only when a verify::Hub was armed at construction time.
-  std::unique_ptr<verify::MonitorSet> mon_;
 };
 
 }  // namespace mts::fifo

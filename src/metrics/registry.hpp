@@ -392,7 +392,8 @@ class Registry {
         for (const auto& [n, g] : inst.gauges) {
           if (!first) os << ", ";
           first = false;
-          os << "\"" << sim::json_escape(n) << "\": " << json_number(g.value());
+          os << "\"" << sim::json_escape(n)
+             << "\": " << sim::json_number(g.value());
         }
         os << "}";
         first_block = false;
@@ -406,11 +407,13 @@ class Registry {
           first = false;
           os << "\n      \"" << sim::json_escape(n) << "\": {"
              << "\"count\": " << h.count() << ", \"mean\": "
-             << json_number(h.mean()) << ", \"min\": " << json_number(h.min())
-             << ", \"p50\": " << json_number(h.percentile(0.50))
-             << ", \"p95\": " << json_number(h.percentile(0.95))
-             << ", \"p99\": " << json_number(h.percentile(0.99))
-             << ", \"max\": " << json_number(h.max()) << ", \"buckets\": [";
+             << sim::json_number(h.mean())
+             << ", \"min\": " << sim::json_number(h.min())
+             << ", \"p50\": " << sim::json_number(h.percentile(0.50))
+             << ", \"p95\": " << sim::json_number(h.percentile(0.95))
+             << ", \"p99\": " << sim::json_number(h.percentile(0.99))
+             << ", \"max\": " << sim::json_number(h.max())
+             << ", \"buckets\": [";
           const auto& bounds = h.bounds();
           const auto& counts = h.bucket_counts();
           bool first_b = true;
@@ -419,7 +422,7 @@ class Registry {
             if (!first_b) os << ", ";
             first_b = false;
             os << "["
-               << (i < bounds.size() ? json_number(bounds[i])
+               << (i < bounds.size() ? sim::json_number(bounds[i])
                                      : std::string("\"+inf\""))
                << ", " << counts[i] << "]";
           }
@@ -490,15 +493,6 @@ class Registry {
     const Map& m = it->second.*member;
     const auto mit = m.find(name);
     return mit == m.end() ? nullptr : &mit->second;
-  }
-
-  /// JSON has no inf/nan; emit finite decimal (histograms clamp to observed
-  /// extremes so this only defends gauges fed bad values).
-  static std::string json_number(double v) {
-    if (!std::isfinite(v)) return "0";
-    std::ostringstream os;
-    os << v;
-    return os.str();
   }
 
   std::map<std::string, Instance> instances_;

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "sim/report.hpp"
+#include "sim/trace_session.hpp"
 
 namespace mts::metrics {
 
@@ -25,16 +26,6 @@ std::string fmt_value(double v) {
   }
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-/// Picoseconds -> the trace format's microseconds with 1 ps resolution
-/// (same rendering as TraceSession's exporter).
-std::string ts_us(sim::Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu.%06llu",
-                static_cast<unsigned long long>(t / 1'000'000),
-                static_cast<unsigned long long>(t % 1'000'000));
   return buf;
 }
 
@@ -89,7 +80,8 @@ std::string TimeSeriesStore::perfetto_events(int pid) const {
      << ", \"args\": {\"name\": \"telemetry\"}}";
   for (const FlatPoint& r : flatten(series_)) {
     os << ",\n  {\"name\": \"" << sim::json_escape(*r.name)
-       << "\", \"ph\": \"C\", \"pid\": " << pid << ", \"ts\": " << ts_us(r.t)
+       << "\", \"ph\": \"C\", \"pid\": " << pid
+       << ", \"ts\": " << sim::trace_ts_us(r.t)
        << ", \"args\": {\"value\": " << fmt_value(r.v) << "}}";
   }
   return os.str();

@@ -424,7 +424,7 @@ bool write_repro_bundle(const std::string& dir, std::uint64_t campaign_seed,
     for (const auto& [name, v] : r.scalars) {
       if (!first) out << ", ";
       first = false;
-      out << "\"" << json_escape(name) << "\": " << v;
+      out << "\"" << json_escape(name) << "\": " << json_number(v);
     }
     out << "}";
   }
@@ -621,7 +621,7 @@ std::string CampaignOutcome::health_json(bool include_host_stats) const {
     os << ", \"worst\": {\"run\": " << worst_run << ", \"instance\": \""
        << json_escape(worst_instance) << "\", \"metric\": \""
        << json_escape(slo.metric) << "\", \"percentile\": " << slo.percentile
-       << ", \"value\": " << worst << "}";
+       << ", \"value\": " << json_number(worst) << "}";
   }
   os << "}";
   if (slo.budget > 0.0) {
@@ -671,7 +671,8 @@ std::string CampaignOutcome::to_json(bool include_host_stats) const {
       os << ", \"timeline\": \"" << json_escape(r.timeline_path) << "\"";
     }
     if (r.slo_worst > 0.0) {
-      os << ", \"slo_worst\": " << r.slo_worst << ", \"slo_worst_instance\": \""
+      os << ", \"slo_worst\": " << json_number(r.slo_worst)
+         << ", \"slo_worst_instance\": \""
          << json_escape(r.slo_worst_instance) << "\"";
     }
     if (r.slo_breaches > 0) os << ", \"slo_breaches\": " << r.slo_breaches;
@@ -681,7 +682,7 @@ std::string CampaignOutcome::to_json(bool include_host_stats) const {
       for (const auto& [name, v] : r.scalars) {
         if (!sfirst) os << ", ";
         sfirst = false;
-        os << "\"" << json_escape(name) << "\": " << v;
+        os << "\"" << json_escape(name) << "\": " << json_number(v);
       }
       os << "}";
     }

@@ -1,6 +1,7 @@
 #include "sim/report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <utility>
@@ -39,6 +40,13 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "0";
+  std::ostringstream os;
+  os << v;
+  return os.str();
 }
 
 void Report::add(Time t, Severity sev, std::string category, std::string message) {

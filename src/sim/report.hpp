@@ -33,6 +33,11 @@ const char* severity_name(Severity s) noexcept;
 /// control characters).
 std::string json_escape(const std::string& s);
 
+/// Renders `v` as a JSON number: byte-identical to `operator<<` on a
+/// default-formatted stream for finite values, "0" for NaN and infinities
+/// (JSON has neither).
+std::string json_number(double v);
+
 struct ReportEntry {
   Time time = 0;
   Severity severity = Severity::kInfo;

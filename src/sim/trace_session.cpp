@@ -106,16 +106,15 @@ const char* kind_name(int k) {
   return "?";
 }
 
-/// Picoseconds -> the trace format's microseconds, with 1 ps resolution.
-std::string ts_us(Time t) {
+}  // namespace
+
+std::string trace_ts_us(Time t) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%llu.%06llu",
                 static_cast<unsigned long long>(t / 1'000'000),
                 static_cast<unsigned long long>(t % 1'000'000));
   return buf;
 }
-
-}  // namespace
 
 std::string TraceSession::to_json() const {
   std::ostringstream os;
@@ -141,7 +140,8 @@ std::string TraceSession::to_json() const {
            << (e.kind == Kind::kBegin ? 'b' : 'e') << "\", \"id\": " << e.txn
            << ", \"pid\": 1, \"tid\": "
            << (e.kind == Kind::kBegin ? st.put_track : st.get_track) + 1
-           << ", \"ts\": " << ts_us(e.t) << ", \"args\": {\"instance\": \""
+           << ", \"ts\": " << trace_ts_us(e.t)
+           << ", \"args\": {\"instance\": \""
            << json_escape(st.instance) << "\"}}";
         break;
       default:
@@ -149,7 +149,8 @@ std::string TraceSession::to_json() const {
            << "\", \"cat\": \"span\", \"ph\": \"i\", \"s\": \"t\", "
            << "\"pid\": 1, \"tid\": "
            << (e.kind == Kind::kPutCommitted ? st.put_track : st.get_track) + 1
-           << ", \"ts\": " << ts_us(e.t) << ", \"args\": {\"txn\": " << e.txn
+           << ", \"ts\": " << trace_ts_us(e.t)
+           << ", \"args\": {\"txn\": " << e.txn
            << ", \"instance\": \"" << json_escape(st.instance)
            << "\", \"data\": " << e.data << "}}";
         break;

@@ -43,6 +43,10 @@
 
 namespace mts::sim {
 
+/// Picoseconds -> the trace format's microseconds with 1 ps resolution
+/// ("12.000345"): the one timestamp rendering of every trace-event export.
+std::string trace_ts_us(Time t);
+
 class TraceSession {
  public:
   using TxnId = std::uint64_t;

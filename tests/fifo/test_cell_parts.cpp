@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ctrl/specs.hpp"
+#include "fifo/cell_array.hpp"
 #include "sync/clock.hpp"
+#include "verify/hub.hpp"
 
 namespace mts::fifo {
 namespace {
@@ -152,22 +156,69 @@ TEST(AsyncGetPartTest, HandshakeReadsOnlyFullCells) {
   EXPECT_FALSE(part.gtok().read());  // token released after the read
 }
 
-TEST(DvControllerTest, WrapsLinearNetWithInitialEmptyState) {
+TEST(CellArrayTest, StateWiresFollowTheLinearDvNet) {
   sim::Simulation sim;
   gates::Netlist nl(sim, "t");
+  const FifoConfig cfg = cfg4();
+  CellArray cells(nl, cfg);
   sim::Wire& we = nl.wire("we");
   sim::Wire& re = nl.wire("re");
-  DvController dv(nl, 0, ctrl::dv_linear_net(), we, re, 25);
+  for (unsigned i = 0; i < cfg.capacity; ++i) cells.add_state(i);
+  nl.add<ctrl::PetriEngine>(sim, "t.c0.dv", ctrl::dv_linear_net(),
+                            std::vector<sim::Wire*>{&we, &re},
+                            std::vector<sim::Wire*>{&cells.e(0), &cells.f(0)},
+                            25);
+  EXPECT_EQ(cells.e(0).name(), "t.c0.e");
+  EXPECT_EQ(cells.f(0).name(), "t.c0.f");
   sim.run_until(1'000);
-  EXPECT_TRUE(dv.e().read());
-  EXPECT_FALSE(dv.f().read());
+  EXPECT_TRUE(cells.e(0).read());
+  EXPECT_FALSE(cells.f(0).read());
 
   we.set(true);
   sim.run_until(2'000);
   we.set(false);
   sim.run_until(3'000);
-  EXPECT_FALSE(dv.e().read());
-  EXPECT_TRUE(dv.f().read());
+  EXPECT_FALSE(cells.e(0).read());
+  EXPECT_TRUE(cells.f(0).read());
+  EXPECT_EQ(cells.occupancy(), 1u);
+}
+
+TEST(CellArrayTest, OverAndUnderflowCountReportAndRaiseOneViolation) {
+  // The one over/underflow policy every design shares: a counter, an
+  // error report line and, with a hub armed, one violation per event.
+  sim::Simulation sim;
+  verify::Hub hub;
+  hub.arm(sim);
+  gates::Netlist nl(sim, "t");
+  const FifoConfig cfg = cfg4();
+  CellArray cells(nl, cfg);
+  sim::Word& put_data = nl.word("put_data");
+  sim::Word& get_data = nl.word("get_data");
+  sim::Word& reg_q = nl.word("reg_q");
+  sim::Wire& we = nl.wire("we");
+  sim::Wire& re = nl.wire("re");
+  cells.add_buses(put_data, nullptr, get_data, nullptr);
+  for (unsigned i = 0; i < cfg.capacity; ++i) cells.add_state(i);
+  cells.connect(0, we, re, reg_q, nullptr);
+  cells.monitor({});
+
+  cells.f(0).set(true);  // resident item: a put now overflows
+  we.set(true);
+  we.set(false);
+  cells.f(0).set(false);  // empty cell: a get now underflows
+  re.set(true);
+  re.set(false);
+
+  EXPECT_EQ(cells.overflows(), 1u);
+  EXPECT_EQ(cells.underflows(), 1u);
+  EXPECT_EQ(sim.report().count("overflow"), 1u);
+  EXPECT_EQ(sim.report().count("underflow"), 1u);
+  EXPECT_EQ(hub.count(verify::Invariant::kOverflow), 1u);
+  EXPECT_EQ(hub.count(verify::Invariant::kUnderflow), 1u);
+  ASSERT_FALSE(sim.report().entries().empty());
+  EXPECT_EQ(sim.report().entries().front().message,
+            "t: put into a full cell");
+  verify::Hub::disarm(sim);
 }
 
 TEST(TokenMatchDelays, RelayControllersNeedLessMatching) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -428,6 +429,42 @@ TEST(CampaigndChaos, QuarantineParityAcrossEngines) {
   EXPECT_EQ(dist.health_json(false), health);
   EXPECT_NE(doc.find("\"quarantined_configs\": [0]"), std::string::npos);
   EXPECT_NE(health.find("\"quarantined_configs\": [0]"), std::string::npos);
+}
+
+TEST(CampaigndOracle, NonFiniteScalarsRenderAlikeInBothEngines) {
+  // JSON has no NaN or infinity: both engines must render such a scalar as
+  // the same valid number, not "nan"/"inf" from one and 0 from the other.
+  class NonFinite : public campaignd::Workload {
+   public:
+    void run(sim::CampaignContext& ctx) override {
+      ctx.set("ratio", std::numeric_limits<double>::quiet_NaN());
+      ctx.set("rate", std::numeric_limits<double>::infinity());
+      ctx.set("finite", 0.125);
+    }
+  };
+  campaignd::register_workload("nonfinite_scalars", [](const json::Value&) {
+    return std::unique_ptr<campaignd::Workload>(new NonFinite());
+  });
+  JobSpec job;
+  job.workload = "nonfinite_scalars";
+  job.configs = 2;
+  job.reps = 1;
+  job.opt.seed = 3;
+
+  sim::CampaignOptions topt = job.opt;
+  topt.workers = 1;
+  sim::Campaign threads(job.configs, job.reps, topt);
+  NonFinite body;
+  threads.run(body.body());
+  Coordinator::Outcome local;
+  campaignd::run_local(job, local);
+
+  const std::string doc = threads.to_json(false);
+  EXPECT_EQ(local.to_json(false), doc);
+  EXPECT_NO_THROW(json::parse(doc)) << doc;
+  EXPECT_NE(doc.find("\"rate\": 0, \"ratio\": 0"), std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("\"finite\": 0.125"), std::string::npos) << doc;
 }
 
 TEST(CampaigndOracle, RunFilterIsValidatedLikeTheCoordinator) {

@@ -35,70 +35,10 @@
 #include "sim/trace_session.hpp"
 #include "sync/clock.hpp"
 
-namespace {
-
-using namespace mts;
-using sim::Time;
-
-/// Deterministic storm sink: consumes like bfm::RsSink (on every edge where
-/// its registered stop was low) but drives stop from a fixed cycle pattern
-/// instead of the RNG -- `burst` stop cycles out of every `period`, starting
-/// after `warmup` cycles. Same waveform every run, so the timeline artifact
-/// is reproducible byte for byte.
-class StormSink {
- public:
-  StormSink(sim::Simulation& sim, sim::Wire& clk, sim::Word& in_data,
-            sim::Wire& in_valid, sim::Wire& stop, const gates::DelayModel& dm,
-            unsigned warmup, unsigned period, unsigned burst,
-            bfm::Scoreboard& sb)
-      : sim_(sim),
-        in_data_(in_data),
-        in_valid_(in_valid),
-        stop_(stop),
-        clk_to_q_(dm.flop.clk_to_q),
-        warmup_(warmup),
-        period_(period),
-        burst_(burst),
-        sb_(sb) {
-    clk.on_rise([this] { on_edge(); });
-  }
-
-  std::uint64_t received() const noexcept { return received_; }
-  bool stalling() const noexcept { return prev_stop_; }
-  std::uint64_t stall_cycles() const noexcept { return stall_cycles_; }
-
- private:
-  void on_edge() {
-    if (!prev_stop_ && in_valid_.read()) {
-      sb_.pop_check(in_data_.read());
-      ++received_;
-    }
-    const bool stall =
-        cycle_ >= warmup_ && (cycle_ - warmup_) % period_ < burst_;
-    ++cycle_;
-    if (stall) ++stall_cycles_;
-    prev_stop_ = stall;
-    stop_.write(stall, clk_to_q_, sim::DelayKind::kInertial);
-  }
-
-  sim::Simulation& sim_;
-  sim::Word& in_data_;
-  sim::Wire& in_valid_;
-  sim::Wire& stop_;
-  sim::Time clk_to_q_;
-  unsigned warmup_;
-  unsigned period_;
-  unsigned burst_;
-  bfm::Scoreboard& sb_;
-  bool prev_stop_ = false;
-  unsigned cycle_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t stall_cycles_ = 0;
-};
-
-}  // namespace
-
 int main() {
+  using namespace mts;
+  using sim::Time;
+
   fifo::FifoConfig cfg;
   cfg.capacity = 8;
   cfg.width = 8;
@@ -128,9 +68,9 @@ int main() {
   bfm::Scoreboard sb(sim, "sb");
   bfm::RsSource src(sim, "src", cp.out(), link.data_in(), link.valid_in(),
                     link.stop_out(), cfg.dm, 1.0, 0xFF, sb);
-  StormSink sink(sim, cg.out(), link.data_out(), link.valid_out(),
-                 link.stop_in(), cfg.dm, /*warmup=*/100, /*period=*/40,
-                 /*burst=*/15, sb);
+  bfm::RsBurstSink sink(cg.out(), link.data_out(), link.valid_out(),
+                        link.stop_in(), cfg.dm, /*warmup=*/100, /*period=*/40,
+                        /*burst=*/15, sb);
 
   // The sink's own stop line as a telemetry source: the storm generator's
   // duty cycle, to line up against the stations' stall_duty tracks.

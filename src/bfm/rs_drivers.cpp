@@ -65,4 +65,32 @@ void RsSink::on_edge() {
   stop_.write(stall, clk_to_q_, sim::DelayKind::kInertial);
 }
 
+RsBurstSink::RsBurstSink(sim::Wire& clk, sim::Word& in_data,
+                         sim::Wire& in_valid, sim::Wire& stop,
+                         const gates::DelayModel& dm, unsigned warmup,
+                         unsigned period, unsigned burst, Scoreboard& sb)
+    : in_data_(in_data),
+      in_valid_(in_valid),
+      stop_(stop),
+      clk_to_q_(dm.flop.clk_to_q),
+      warmup_(warmup),
+      period_(period),
+      burst_(burst),
+      sb_(sb) {
+  clk.on_rise([this] { on_edge(); });
+}
+
+void RsBurstSink::on_edge() {
+  if (!prev_stop_ && in_valid_.read()) {
+    sb_.pop_check(in_data_.read());
+    ++received_;
+  }
+  const bool stall =
+      cycle_ >= warmup_ && (cycle_ - warmup_) % period_ < burst_;
+  ++cycle_;
+  if (stall) ++stall_cycles_;
+  prev_stop_ = stall;
+  stop_.write(stall, clk_to_q_, sim::DelayKind::kInertial);
+}
+
 }  // namespace mts::bfm

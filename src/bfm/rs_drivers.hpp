@@ -1,5 +1,6 @@
 // Bus-functional models for latency-insensitive links (relay-station
-// chains): a packet source and a stalling sink.
+// chains): a packet source, a randomly stalling sink and a sink that
+// stalls in a fixed burst pattern.
 //
 // Both follow the library-wide transfer convention: a transfer occurs on a
 // link at a clock edge iff the link's stop wire was low during the cycle
@@ -81,6 +82,40 @@ class RsSink {
   bool prev_stop_ = false;
   std::uint64_t received_valid_ = 0;
   sim::Time last_time_ = 0;
+};
+
+/// Burst-stalling sink: consumes like RsSink, but drives stop from a fixed
+/// cycle pattern instead of the RNG -- `burst` stop cycles out of every
+/// `period`, starting after `warmup` cycles. The same waveform every run,
+/// so a back-pressure storm's timeline is reproducible byte for byte.
+class RsBurstSink {
+ public:
+  RsBurstSink(sim::Wire& clk, sim::Word& in_data, sim::Wire& in_valid,
+              sim::Wire& stop, const gates::DelayModel& dm, unsigned warmup,
+              unsigned period, unsigned burst, Scoreboard& sb);
+
+  RsBurstSink(const RsBurstSink&) = delete;
+  RsBurstSink& operator=(const RsBurstSink&) = delete;
+
+  std::uint64_t received() const noexcept { return received_; }
+  bool stalling() const noexcept { return prev_stop_; }
+  std::uint64_t stall_cycles() const noexcept { return stall_cycles_; }
+
+ private:
+  void on_edge();
+
+  sim::Word& in_data_;
+  sim::Wire& in_valid_;
+  sim::Wire& stop_;
+  sim::Time clk_to_q_;
+  unsigned warmup_;
+  unsigned period_;
+  unsigned burst_;
+  Scoreboard& sb_;
+  bool prev_stop_ = false;
+  unsigned cycle_ = 0;
+  std::uint64_t received_ = 0;
+  std::uint64_t stall_cycles_ = 0;
 };
 
 }  // namespace mts::bfm

@@ -29,7 +29,7 @@ Fails (exit 1) when any of these regress beyond `tolerance` (default 15%):
     same fifo_cycles workload (smoke vs full are not comparable). The
     armed number is always informational.
 
-When the telemetry JSON pair (BENCH_telemetry.json) is given, three more
+When the telemetry JSON pair (BENCH_telemetry.json) is given, four more
 gates apply:
 
   * fifo_soak.cycles_per_sec_disarmed -- the FIFO soak with the telemetry
@@ -46,6 +46,11 @@ gates apply:
     only when both sides measured the same fifo_cycles workload (same rule
     as the disarmed throughput gate). Gate evaluation allocates nothing, so
     a rise means a new allocation crept onto the per-cycle path.
+  * fifo_soak.armed_overhead_pct_long -- flat armed cost: the armed soak's
+    slowdown factor (1 + overhead/100) at `cycles_long` (ten times the
+    soak) must stay under the factor at `cycles` times (1 + tolerance).
+    Both come from the same fresh run, so the gate does not depend on the
+    host; a sample whose cost grows with run length fails it.
 """
 import json
 import sys
@@ -219,6 +224,20 @@ def main() -> int:
                     f"{got:.1f}% (ceiling {ceiling:.1f}%) "
                     f"-> {'OK' if ok else 'REGRESSION'}"
                 )
+        long_pct = tel_new.get("armed_overhead_pct_long")
+        short_pct = tel_new.get("armed_overhead_pct")
+        if long_pct is not None and short_pct is not None:
+            short_factor = 1.0 + short_pct / 100.0
+            long_factor = 1.0 + long_pct / 100.0
+            ceiling = short_factor * (1.0 + tolerance)
+            ok = long_factor <= ceiling
+            failed = failed or not ok
+            print(
+                f"telemetry_armed_flatness: slowdown x{short_factor:.3f} at "
+                f"{tel_new.get('cycles')} cycles, x{long_factor:.3f} at "
+                f"{tel_new.get('cycles_long')} cycles (ceiling "
+                f"x{ceiling:.3f}) -> {'OK' if ok else 'REGRESSION'}"
+            )
         sampler = tel_all.get("sampler", {})
         for k in ("samples_per_sec_8_sources", "samples_per_sec_64_sources"):
             if k in sampler:

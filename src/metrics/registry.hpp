@@ -10,6 +10,9 @@
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // registry's lifetime (std::map nodes never move), so components resolve
 // them once at construction and the per-event cost is an increment.
+// layout_generation() changes whenever a metric is created or dropped, so
+// a reader that caches handles (sim::Telemetry's sampling plan) knows when
+// to resolve them again.
 //
 // Serialization: to_json() emits the whole registry as one JSON object
 // (instance -> metric -> value/summary); bind(report) attaches that emitter
@@ -86,6 +89,15 @@ class Gauge {
 /// the defined behavior, not an error. Window state is run-local recency:
 /// merge() combines cumulative buckets only and never transfers or mixes
 /// windows.
+///
+/// The window is also kept as a sorted copy, updated as values arrive: a
+/// full window's observe() shifts only the sorted entries that lie strictly
+/// between the evicted value and the new one. A windowed percentile is
+/// then an index, and an observation costs two binary searches plus that
+/// shift. Nothing of this runs while no window is armed.
+///
+/// NaN: a NaN observation has no rank and no bucket, so observe() ignores
+/// it -- counts, sum, extrema and the window are unchanged.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds)
@@ -114,17 +126,14 @@ class Histogram {
   }
 
   void observe(double x) noexcept {
+    if (std::isnan(x)) return;
     const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
     ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
     ++count_;
     sum_ += x;
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
-    if (!window_.empty()) {
-      window_[window_next_] = x;
-      window_next_ = (window_next_ + 1) % window_.size();
-      if (window_count_ < window_.size()) ++window_count_;
-    }
+    if (!window_.empty()) window_push(x);
   }
 
   std::uint64_t count() const noexcept { return count_; }
@@ -167,16 +176,21 @@ class Histogram {
   /// Existing window contents are dropped on resize.
   void set_window(std::size_t n) {
     window_.assign(n, 0.0);
-    if (n == 0) window_.shrink_to_fit();
-    window_count_ = 0;
+    sorted_.clear();
+    if (n == 0) {
+      window_.shrink_to_fit();
+      sorted_.shrink_to_fit();
+    } else {
+      sorted_.reserve(n);
+    }
     window_next_ = 0;
   }
   std::size_t window_capacity() const noexcept { return window_.size(); }
   /// Observations currently in the window (<= capacity).
-  std::size_t window_count() const noexcept { return window_count_; }
+  std::size_t window_count() const noexcept { return sorted_.size(); }
   /// Drops window contents, keeps the capacity (per-run reuse hook).
   void clear_window() noexcept {
-    window_count_ = 0;
+    sorted_.clear();
     window_next_ = 0;
   }
 
@@ -185,19 +199,29 @@ class Histogram {
   /// empty window -> 0.0; single sample -> that sample for every p; p <= 0
   /// -> window min; p >= 1 -> window max. p99.9 with fewer than 1000
   /// samples is the window max by construction.
-  double window_percentile(double p) const {
-    if (window_count_ == 0) return 0.0;
-    std::vector<double> sorted(window_.begin(),
-                               window_.begin() +
-                                   static_cast<std::ptrdiff_t>(window_count_));
-    std::sort(sorted.begin(), sorted.end());
-    if (p <= 0.0) return sorted.front();
-    if (p >= 1.0) return sorted.back();
-    const auto n = static_cast<double>(window_count_);
+  double window_percentile(double p) const noexcept {
+    if (sorted_.empty()) return 0.0;
+    if (p <= 0.0) return sorted_.front();
+    if (p >= 1.0) return sorted_.back();
+    const auto n = static_cast<double>(sorted_.size());
     std::size_t rank = static_cast<std::size_t>(std::ceil(p * n));
     if (rank == 0) rank = 1;
-    if (rank > window_count_) rank = window_count_;
-    return sorted[rank - 1];
+    if (rank > sorted_.size()) rank = sorted_.size();
+    return sorted_[rank - 1];
+  }
+
+  /// p50/p95/p99/p99.9 in one call, as sim::Telemetry samples them: from
+  /// the window when one is armed, else from the cumulative buckets.
+  struct Tail {
+    double p50, p95, p99, p999;
+  };
+  Tail tail() const noexcept {
+    if (window_.empty()) {
+      return {percentile(0.50), percentile(0.95), percentile(0.99),
+              percentile(0.999)};
+    }
+    return {window_percentile(0.50), window_percentile(0.95),
+            window_percentile(0.99), window_percentile(0.999)};
   }
 
   /// Campaign reduction: bucket-wise sum plus combined count/sum/min/max.
@@ -260,9 +284,36 @@ class Histogram {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
+  /// Appends `x` to the ring and to the sorted copy. A full ring evicts
+  /// its oldest value `old`: only the sorted entries strictly between `old`
+  /// and `x` shift by one, and `x` fills the gap (nothing moves when
+  /// x == old, the common case for occupancy-like histograms).
+  void window_push(double x) noexcept {
+    double* const lo = sorted_.data();
+    double* const hi = lo + sorted_.size();
+    const double old = window_[window_next_];
+    window_[window_next_] = x;
+    window_next_ = (window_next_ + 1) % window_.size();
+    if (sorted_.size() < window_.size()) {
+      sorted_.insert(sorted_.begin() + (std::upper_bound(lo, hi, x) - lo), x);
+    } else if (old < x) {
+      // The last copy of `old` moves up to just below the first `x`.
+      double* const out = std::upper_bound(lo, hi, old) - 1;
+      double* const ins = std::lower_bound(out + 1, hi, x);
+      std::move(out + 1, ins, out);
+      *(ins - 1) = x;
+    } else if (x < old) {
+      // The first copy of `old` moves down to just above the last `x`.
+      double* const out = std::lower_bound(lo, hi, old);
+      double* const ins = std::upper_bound(lo, out, x);
+      std::move_backward(ins, out, out + 1);
+      *ins = x;
+    }
+  }
+
   std::vector<double> window_;          ///< ring of recent raw samples
+  std::vector<double> sorted_;          ///< the ring's samples, ascending
   std::size_t window_next_ = 0;         ///< ring write cursor
-  std::size_t window_count_ = 0;        ///< valid samples in the ring
 };
 
 class Registry {
@@ -275,10 +326,10 @@ class Registry {
   /// registry's lifetime. histogram() ignores `upper_bounds` when the
   /// metric already exists.
   Counter& counter(const std::string& instance, const std::string& name) {
-    return instances_[instance].counters[name];
+    return resolve(instances_[instance].counters, name);
   }
   Gauge& gauge(const std::string& instance, const std::string& name) {
-    return instances_[instance].gauges[name];
+    return resolve(instances_[instance].gauges, name);
   }
   Histogram& histogram(const std::string& instance, const std::string& name,
                        std::vector<double> upper_bounds) {
@@ -287,8 +338,17 @@ class Registry {
     if (it == m.end()) {
       it = m.emplace(name, Histogram(std::move(upper_bounds))).first;
       if (default_window_ != 0) it->second.set_window(default_window_);
+      ++layout_generation_;
     }
     return it->second;
+  }
+
+  /// Changes whenever a metric is created or dropped (resolve-or-create
+  /// that creates, merge() that adds a metric, clear()); equal values mean
+  /// every handle resolved since is still valid and visit() walks the same
+  /// metrics in the same order.
+  std::uint64_t layout_generation() const noexcept {
+    return layout_generation_;
   }
 
   /// Sliding-window capacity applied to histograms created *after* this
@@ -307,13 +367,16 @@ class Registry {
   void merge(const Registry& other) {
     for (const auto& [iname, oinst] : other.instances_) {
       Instance& inst = instances_[iname];
-      for (const auto& [n, c] : oinst.counters) inst.counters[n].merge(c);
-      for (const auto& [n, g] : oinst.gauges) inst.gauges[n].merge(g);
+      for (const auto& [n, c] : oinst.counters) {
+        resolve(inst.counters, n).merge(c);
+      }
+      for (const auto& [n, g] : oinst.gauges) resolve(inst.gauges, n).merge(g);
       for (const auto& [n, h] : oinst.histograms) {
         const auto it = inst.histograms.find(n);
         if (it == inst.histograms.end()) {
           inst.histograms.emplace(n, Histogram(h.bounds())).first->second.merge(
               h);
+          ++layout_generation_;
         } else {
           it->second.merge(h);
         }
@@ -325,7 +388,10 @@ class Registry {
   /// returned earlier are invalidated -- only use between runs, before
   /// components re-resolve their metrics (the campaign engine's per-run
   /// isolation hook).
-  void clear() { instances_.clear(); }
+  void clear() {
+    instances_.clear();
+    ++layout_generation_;
+  }
 
   /// Lookup without creation; nullptr when absent.
   const Counter* find_counter(const std::string& instance,
@@ -484,6 +550,15 @@ class Registry {
     std::map<std::string, Histogram> histograms;
   };
 
+  /// Resolve-or-create for counters and gauges; a creation changes the
+  /// layout generation.
+  template <typename Map>
+  typename Map::mapped_type& resolve(Map& m, const std::string& name) {
+    const auto [it, created] = m.try_emplace(name);
+    if (created) ++layout_generation_;
+    return it->second;
+  }
+
   template <typename Map>
   const typename Map::mapped_type* find(const std::string& instance,
                                         Map Instance::*member,
@@ -497,6 +572,7 @@ class Registry {
 
   std::map<std::string, Instance> instances_;
   std::size_t default_window_ = 0;  ///< window for histograms created later
+  std::uint64_t layout_generation_ = 0;
 };
 
 }  // namespace mts::metrics

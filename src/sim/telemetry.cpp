@@ -42,22 +42,80 @@ void Telemetry::probe_fired() {
   }
 }
 
+void Telemetry::resolve_sources() {
+  // Rollup slots in (domain, kind) order: the order their series were
+  // appended in when each sample keyed its sums by a std::map.
+  std::map<std::pair<std::string, std::string>, std::size_t> slot;
+  for (Source& s : sources_) {
+    s.series = &store_.series(s.instance + "." + s.kind);
+    slot.try_emplace({s.domain, s.kind}, 0);
+  }
+  rollups_.clear();
+  for (auto& [key, index] : slot) {
+    index = rollups_.size();
+    rollups_.push_back(
+        Rollup{&store_.series("domain." + key.first + "." + key.second), 0.0});
+  }
+  for (Source& s : sources_) s.rollup = slot.at({s.domain, s.kind});
+}
+
+void Telemetry::resolve_metrics() {
+  metric_plan_.clear();
+  const auto series = [this](const std::string& inst,
+                             const std::string& name) {
+    return &store_.series(inst + "." + name);
+  };
+  registry_->visit(
+      [&](const std::string& inst, const std::string& name,
+          const metrics::Counter& c) {
+        MetricSlot m;
+        m.counter = &c;
+        m.series[0] = series(inst, name);
+        metric_plan_.push_back(m);
+      },
+      [&](const std::string& inst, const std::string& name,
+          const metrics::Gauge& g) {
+        MetricSlot m;
+        m.gauge = &g;
+        m.series[0] = series(inst, name);
+        metric_plan_.push_back(m);
+      },
+      [&](const std::string& inst, const std::string& name,
+          const metrics::Histogram& h) {
+        MetricSlot m;
+        m.histogram = &h;
+        const std::string base = name + ".";
+        m.series = {series(inst, base + "p50"), series(inst, base + "p95"),
+                    series(inst, base + "p99"), series(inst, base + "p999")};
+        metric_plan_.push_back(m);
+      });
+  metric_plan_valid_ = true;
+  metric_plan_layout_ = registry_->layout_generation();
+}
+
+void Telemetry::append(metrics::TimeSeries*& slot, const char* name, Time t,
+                       double v) {
+  if (slot == nullptr) slot = &store_.series(name);
+  slot->append(t, v);
+}
+
 void Telemetry::take_sample(Time t) {
   ++samples_;
   const Time dt = t > last_t_ ? t - last_t_ : 0;
 
-  // Per-instance sources, then per-(domain, kind) rollups. std::map keys
-  // the rollups so their series append in sorted order -- deterministic
-  // regardless of source registration order.
-  std::map<std::pair<std::string, std::string>, double> rollup;
+  // Per-instance sources, then per-(domain, kind) rollups. Each rollup sums
+  // its sources in registration order and appends in (domain, kind) order
+  // -- deterministic regardless of source registration order.
+  if (!sources_.empty() && sources_.back().series == nullptr) {
+    resolve_sources();
+  }
+  for (Rollup& r : rollups_) r.sum = 0.0;
   for (Source& s : sources_) {
     const double v = s.fn();
-    store_.append(s.instance + "." + s.kind, t, v);
-    rollup[{s.domain, s.kind}] += v;
+    s.series->append(t, v);
+    rollups_[s.rollup].sum += v;
   }
-  for (const auto& [key, sum] : rollup) {
-    store_.append("domain." + key.first + "." + key.second, t, sum);
-  }
+  for (const Rollup& r : rollups_) r.series->append(t, r.sum);
 
   // Kernel builtins. events_per_us is the interval-local event rate in
   // events per microsecond of SIM time -- a pure function of the event
@@ -65,14 +123,14 @@ void Telemetry::take_sample(Time t) {
   const std::uint64_t events = sim_->sched().events_executed();
   if (dt > 0) {
     const double us = static_cast<double>(dt) / 1e6;
-    store_.append("kernel.events_per_us", t,
-                  static_cast<double>(events - last_events_) / us);
+    append(builtins_.events_per_us, "kernel.events_per_us", t,
+           static_cast<double>(events - last_events_) / us);
   }
-  store_.append("kernel.queue_depth", t,
-                static_cast<double>(sim_->sched().pending()));
+  append(builtins_.queue_depth, "kernel.queue_depth", t,
+         static_cast<double>(sim_->sched().pending()));
   if (cfg_.include_host_series) {
-    store_.append("kernel.pool_high_water", t,
-                  static_cast<double>(sim_->sched().stats().pool_high_water));
+    append(builtins_.pool_high_water, "kernel.pool_high_water", t,
+           static_cast<double>(sim_->sched().stats().pool_high_water));
   }
   last_events_ = events;
 
@@ -80,40 +138,37 @@ void Telemetry::take_sample(Time t) {
   // (violations per microsecond of sim time).
   if (const verify::Hub* hub = sim_->monitors(); hub != nullptr) {
     const std::uint64_t total = hub->total();
-    store_.append("verify.violations", t, static_cast<double>(total));
+    append(builtins_.violations, "verify.violations", t,
+           static_cast<double>(total));
     if (dt > 0) {
       const double us = static_cast<double>(dt) / 1e6;
-      store_.append("verify.violation_rate", t,
-                    static_cast<double>(total - last_violations_) / us);
+      append(builtins_.violation_rate, "verify.violation_rate", t,
+             static_cast<double>(total - last_violations_) / us);
     }
     last_violations_ = total;
   }
 
-  // Full registry snapshot: counters and gauges by value, histograms as
-  // sliding-window percentiles (cumulative-bucket fallback when no window
-  // is armed). Registry visit order is (instance, metric) map order.
+  // Full registry snapshot in visit() order: counters and gauges by value,
+  // histograms as sliding-window percentiles (cumulative-bucket fallback
+  // when no window is armed).
   if (cfg_.sample_registry && registry_ != nullptr) {
-    registry_->visit(
-        [&](const std::string& inst, const std::string& name,
-            const metrics::Counter& c) {
-          store_.append(inst + "." + name, t, static_cast<double>(c.value()));
-        },
-        [&](const std::string& inst, const std::string& name,
-            const metrics::Gauge& g) {
-          store_.append(inst + "." + name, t, g.value());
-        },
-        [&](const std::string& inst, const std::string& name,
-            const metrics::Histogram& h) {
-          const bool windowed = h.window_capacity() > 0;
-          const auto pct = [&](double p) {
-            return windowed ? h.window_percentile(p) : h.percentile(p);
-          };
-          const std::string base = inst + "." + name;
-          store_.append(base + ".p50", t, pct(0.50));
-          store_.append(base + ".p95", t, pct(0.95));
-          store_.append(base + ".p99", t, pct(0.99));
-          store_.append(base + ".p999", t, pct(0.999));
-        });
+    if (!metric_plan_valid_ ||
+        metric_plan_layout_ != registry_->layout_generation()) {
+      resolve_metrics();
+    }
+    for (const MetricSlot& m : metric_plan_) {
+      if (m.counter != nullptr) {
+        m.series[0]->append(t, static_cast<double>(m.counter->value()));
+      } else if (m.gauge != nullptr) {
+        m.series[0]->append(t, m.gauge->value());
+      } else {
+        const metrics::Histogram::Tail p = m.histogram->tail();
+        m.series[0]->append(t, p.p50);
+        m.series[1]->append(t, p.p95);
+        m.series[2]->append(t, p.p99);
+        m.series[3]->append(t, p.p999);
+      }
+    }
   }
 
   last_t_ = t;

@@ -25,6 +25,17 @@
 // there), exportable as JSONL, CSV, and Perfetto counter tracks merged into
 // the TraceSession's trace.json via attach_trace().
 //
+// Sampling plan: a sample builds no series name and looks up no map. Each
+// source holds the series it appends to and the index of its rollup slot;
+// the rollup slots sit in (domain, kind) order; each registry metric sits
+// in visit() order with its 1 (counter, gauge) or 4 (histogram
+// percentiles) series. The source half of the plan is re-resolved when a
+// source is added (components register after start(), since
+// Observability::arm starts the probe before they are built); the registry
+// half when the registry's layout_generation() changes, or after
+// set_registry() or reset(). Every series receives exactly the appends, in
+// exactly the order, that resolving names per sample would give.
+//
 // Determinism contract: the probe reads state and writes the store -- it
 // never drives a wire, mints a transaction id, or advances the RNG, so an
 // armed run's waveform is bit-identical to a disarmed run of the same seed,
@@ -44,6 +55,7 @@
 // golden-VCD FNV tests and the <=5% gate in scripts/check_kernel_perf.py).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -54,6 +66,9 @@
 #include "sim/time.hpp"
 
 namespace mts::metrics {
+class Counter;
+class Gauge;
+class Histogram;
 class Registry;
 }  // namespace mts::metrics
 
@@ -107,7 +122,10 @@ class Telemetry {
 
   /// Registry snapshotted each tick when `sample_registry` is set
   /// (Observability::arm wires the bundle's registry automatically).
-  void set_registry(const metrics::Registry* r) noexcept { registry_ = r; }
+  void set_registry(const metrics::Registry* r) noexcept {
+    registry_ = r;
+    metric_plan_valid_ = false;
+  }
 
   /// Merges this store's counter tracks into `t`'s to_json() output (one
   /// Perfetto counter track per series, under a dedicated "telemetry"
@@ -129,7 +147,7 @@ class Telemetry {
 
   std::uint64_t samples() const noexcept { return samples_; }
 
-  metrics::TimeSeriesStore& store() noexcept { return store_; }
+  /// Read-only: the sampling plan holds pointers into the store.
   const metrics::TimeSeriesStore& store() const noexcept { return store_; }
 
   std::string to_jsonl() const { return store_.to_jsonl(); }
@@ -143,6 +161,10 @@ class Telemetry {
   /// rebuilt so stale source pointers never survive into the next run.
   void reset() {
     sources_.clear();
+    rollups_.clear();
+    metric_plan_.clear();
+    metric_plan_valid_ = false;
+    builtins_ = Builtins{};
     store_.clear();
     registry_ = nullptr;
     sim_ = nullptr;
@@ -159,13 +181,47 @@ class Telemetry {
     std::string domain;
     std::string kind;
     Probe fn;
+    // Plan (resolve_sources): the series and the rollup slot. Sources are
+    // only ever appended, so a newest source without a series means the
+    // source half of the plan is stale.
+    metrics::TimeSeries* series = nullptr;
+    std::size_t rollup = 0;
+  };
+  /// One `domain.<domain>.<kind>` series and its per-sample sum.
+  struct Rollup {
+    metrics::TimeSeries* series;
+    double sum;
+  };
+  /// One registry metric (exactly one pointer set) and its series.
+  struct MetricSlot {
+    const metrics::Counter* counter = nullptr;
+    const metrics::Gauge* gauge = nullptr;
+    const metrics::Histogram* histogram = nullptr;
+    std::array<metrics::TimeSeries*, 4> series{};
+  };
+  /// Kernel and verify series, resolved on first append (some are appended
+  /// only on some samples, and an unappended series must not exist).
+  struct Builtins {
+    metrics::TimeSeries* events_per_us = nullptr;
+    metrics::TimeSeries* queue_depth = nullptr;
+    metrics::TimeSeries* pool_high_water = nullptr;
+    metrics::TimeSeries* violations = nullptr;
+    metrics::TimeSeries* violation_rate = nullptr;
   };
 
   void take_sample(Time t);
   void probe_fired();
+  void resolve_sources();
+  void resolve_metrics();
+  void append(metrics::TimeSeries*& slot, const char* name, Time t, double v);
 
   TelemetryConfig cfg_;
   std::vector<Source> sources_;
+  std::vector<Rollup> rollups_;         ///< (domain, kind) order
+  std::vector<MetricSlot> metric_plan_;  ///< registry visit() order
+  bool metric_plan_valid_ = false;
+  std::uint64_t metric_plan_layout_ = 0;  ///< registry layout at resolve
+  Builtins builtins_;
   metrics::TimeSeriesStore store_;
   const metrics::Registry* registry_ = nullptr;
   Simulation* sim_ = nullptr;

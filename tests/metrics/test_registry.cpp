@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -203,6 +208,193 @@ TEST(Histogram, WindowEvictsOldestAndIsExactOverRecentSamples) {
   // The cumulative view still spans all 108 observations.
   EXPECT_EQ(h.count(), 108u);
   EXPECT_DOUBLE_EQ(h.max(), 1000.0);
+}
+
+/// Brute-force sliding window: the last `cap` non-NaN observations, copied,
+/// sorted and read at nearest rank -- what window_percentile() computed
+/// before the window was kept in order.
+class WindowOracle {
+ public:
+  explicit WindowOracle(std::size_t cap) : cap_(cap) {}
+  void observe(double x) {
+    if (std::isnan(x)) return;
+    recent_.push_back(x);
+    if (recent_.size() > cap_) recent_.pop_front();
+  }
+  void clear() { recent_.clear(); }
+  void resize(std::size_t cap) {
+    cap_ = cap;
+    recent_.clear();
+  }
+  std::size_t count() const { return recent_.size(); }
+  double percentile(double p) const {
+    if (recent_.empty()) return 0.0;
+    std::vector<double> v(recent_.begin(), recent_.end());
+    std::sort(v.begin(), v.end());
+    if (p <= 0.0) return v.front();
+    if (p >= 1.0) return v.back();
+    std::size_t rank =
+        static_cast<std::size_t>(std::ceil(p * static_cast<double>(v.size())));
+    rank = std::clamp<std::size_t>(rank, 1, v.size());
+    return v[rank - 1];
+  }
+
+ private:
+  std::size_t cap_;
+  std::deque<double> recent_;
+};
+
+constexpr double kProbes[] = {0.0, 0.5, 0.95, 0.99, 0.999, 1.0};
+
+void expect_window_matches(const Histogram& h, const WindowOracle& o,
+                           const std::string& where) {
+  ASSERT_EQ(h.window_count(), o.count()) << where;
+  for (const double p : kProbes) {
+    // Exact: both sides must select the same sample.
+    ASSERT_EQ(h.window_percentile(p), o.percentile(p)) << where << " p=" << p;
+  }
+  const Histogram::Tail t = h.tail();
+  ASSERT_EQ(t.p50, o.percentile(0.50)) << where;
+  ASSERT_EQ(t.p95, o.percentile(0.95)) << where;
+  ASSERT_EQ(t.p99, o.percentile(0.99)) << where;
+  ASSERT_EQ(t.p999, o.percentile(0.999)) << where;
+}
+
+TEST(HistogramWindow, SortedWindowMatchesCopySortOracleOnRandomStreams) {
+  // Random streams over small integer alphabets (many duplicates) and
+  // continuous values, long enough to wrap the ring many times, with
+  // clear_window() and set_window() resizes mixed in.
+  std::mt19937_64 rng(0x5EED'0F'0DE5ull);
+  const std::size_t caps[] = {1, 2, 3, 5, 8, 16, 64, 257};
+  for (int stream = 0; stream < 240; ++stream) {
+    std::size_t cap = caps[rng() % std::size(caps)];
+    const bool dupes = stream % 2 == 0;
+    const double alphabet = static_cast<double>(1 + rng() % 6);
+    Histogram h({10.0, 100.0, 1000.0});
+    h.set_window(cap);
+    WindowOracle o(cap);
+    expect_window_matches(h, o, "empty");
+    const int ops = static_cast<int>(4 * cap + 40);
+    for (int i = 0; i < ops; ++i) {
+      const std::uint64_t r = rng();
+      const std::string where = "stream " + std::to_string(stream) + " op " +
+                                std::to_string(i) + " cap " +
+                                std::to_string(cap);
+      if (r % 97 == 0) {
+        h.clear_window();
+        o.clear();
+      } else if (r % 89 == 0) {
+        cap = caps[(r >> 8) % std::size(caps)];
+        h.set_window(cap);
+        o.resize(cap);
+      } else {
+        const double x =
+            dupes ? std::floor(std::uniform_real_distribution<double>(
+                                   0.0, alphabet)(rng))
+                  : std::uniform_real_distribution<double>(-50.0, 2000.0)(rng);
+        h.observe(x);
+        o.observe(x);
+      }
+      expect_window_matches(h, o, where);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(HistogramWindow, FullTelemetryWindowMatchesOracleAcrossWraps) {
+  // The 1024-entry window telemetry arms, wrapped three times.
+  std::mt19937_64 rng(1024);
+  Histogram h(Histogram::exponential_bounds(1.0, 1e6));
+  h.set_window(1024);
+  WindowOracle o(1024);
+  std::lognormal_distribution<double> lat(8.0, 1.0);
+  for (int i = 1; i <= 3 * 1024 + 100; ++i) {
+    const double x = std::round(lat(rng));  // picosecond latencies repeat
+    h.observe(x);
+    o.observe(x);
+    if (i % 97 == 0 || i == 1024 || i == 1025) {
+      expect_window_matches(h, o, "observation " + std::to_string(i));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(HistogramWindow, EmptyAndSingleSampleEdgesAfterClearAndResize) {
+  Histogram h({10.0});
+  h.set_window(4);
+  for (double x : {5.0, 1.0, 9.0, 3.0, 7.0}) h.observe(x);  // wraps once
+  h.clear_window();
+  for (const double p : kProbes) EXPECT_EQ(h.window_percentile(p), 0.0);
+  h.observe(6.0);
+  for (const double p : kProbes) EXPECT_EQ(h.window_percentile(p), 6.0);
+  h.set_window(2);  // resize drops contents
+  EXPECT_EQ(h.window_count(), 0u);
+  for (const double p : kProbes) EXPECT_EQ(h.window_percentile(p), 0.0);
+  h.observe(8.0);
+  h.observe(2.0);
+  h.observe(4.0);  // evicts 8
+  EXPECT_EQ(h.window_percentile(0.0), 2.0);
+  EXPECT_EQ(h.window_percentile(1.0), 4.0);
+  h.set_window(0);  // disarmed: nothing retained, cumulative tail
+  EXPECT_EQ(h.window_count(), 0u);
+  h.observe(1.0);
+  EXPECT_EQ(h.window_count(), 0u);
+  EXPECT_EQ(h.tail().p50, h.percentile(0.50));
+  EXPECT_EQ(h.tail().p999, h.percentile(0.999));
+}
+
+TEST(HistogramWindow, NaNObservationsAreIgnoredEverywhere) {
+  // A NaN has no rank and no bucket: observe() drops it, so the buckets,
+  // extrema, sum and the sorted window stay exactly as without it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Histogram h({10.0, 100.0});
+  h.set_window(8);
+  WindowOracle o(8);
+  h.observe(nan);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.window_count(), 0u);
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 200; ++i) {
+    const double x = i % 5 == 0 ? nan : static_cast<double>(rng() % 50);
+    h.observe(x);
+    o.observe(x);
+    expect_window_matches(h, o, "observation " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(h.count(), 160u);
+  EXPECT_FALSE(std::isnan(h.sum()));
+  EXPECT_FALSE(std::isnan(h.percentile(0.5)));
+  EXPECT_LE(h.max(), 49.0);
+}
+
+TEST(Registry, LayoutGenerationChangesOnlyWhenMetricsAppearOrVanish) {
+  Registry r;
+  const std::uint64_t g0 = r.layout_generation();
+  r.counter("dut", "puts");
+  const std::uint64_t g1 = r.layout_generation();
+  EXPECT_NE(g1, g0);
+  r.counter("dut", "puts").inc();  // resolve, no creation
+  r.gauge("dut", "fill");
+  const std::uint64_t g2 = r.layout_generation();
+  EXPECT_NE(g2, g1);
+  r.histogram("dut", "lat", {10.0}).observe(1.0);
+  const std::uint64_t g3 = r.layout_generation();
+  EXPECT_NE(g3, g2);
+  r.histogram("dut", "lat", {10.0});
+  r.gauge("dut", "fill").set(2.0);
+  EXPECT_EQ(r.layout_generation(), g3);
+
+  Registry same;
+  same.counter("dut", "puts").inc();
+  r.merge(same);  // adds to an existing metric
+  EXPECT_EQ(r.layout_generation(), g3);
+  Registry other;
+  other.counter("peer", "puts").inc();
+  r.merge(other);  // creates one
+  const std::uint64_t g4 = r.layout_generation();
+  EXPECT_NE(g4, g3);
+  r.clear();
+  EXPECT_NE(r.layout_generation(), g4);
 }
 
 TEST(Registry, DefaultWindowAppliesToHistogramsCreatedAfterward) {

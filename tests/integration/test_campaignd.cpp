@@ -136,6 +136,15 @@ json::Value one_chaos(const std::string& mode, std::size_t at_run,
   return arr;
 }
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 std::string temp_name(const std::string& stem) {
   return testing::TempDir() + "mts_campaignd_" + stem + "_" +
          std::to_string(::getpid());
@@ -429,6 +438,10 @@ TEST(CampaigndChaos, QuarantineParityAcrossEngines) {
   EXPECT_EQ(dist.health_json(false), health);
   EXPECT_NE(doc.find("\"quarantined_configs\": [0]"), std::string::npos);
   EXPECT_NE(health.find("\"quarantined_configs\": [0]"), std::string::npos);
+  // The documents' bytes are pinned too, not just their equality.
+  EXPECT_EQ(fnv1a(doc), 0x3852497ee59f0269ull) << std::hex << "json 0x" << fnv1a(doc);
+  EXPECT_EQ(fnv1a(health), 0x9edb7343ce853be3ull)
+      << std::hex << "health 0x" << fnv1a(health);
 }
 
 TEST(CampaigndOracle, NonFiniteScalarsRenderAlikeInBothEngines) {

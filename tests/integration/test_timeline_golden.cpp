@@ -11,6 +11,11 @@
 //   * the backpressure storm of examples/backpressure_storm.cpp (4 SRS ->
 //     MCRS -> 4 SRS with a burst-stalling sink), the same run that writes
 //     storm_timeline.jsonl.
+//
+// The same SoC run, with a TraceSession armed as well and the profiler off,
+// also pins the bytes of every document it exports: the report (with the
+// registry's metrics section), the Chrome trace (with the telemetry counter
+// tracks), and the builder's Design and Elaborated JSON.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +40,10 @@ constexpr std::uint64_t kSocJsonlHash = 0x6672ea4ecf4b3ecaull;
 constexpr std::uint64_t kSocCsvHash = 0x105431f312c4ede6ull;
 constexpr std::uint64_t kStormJsonlHash = 0xb7cfc10231a3ed3dull;
 constexpr std::uint64_t kStormCsvHash = 0x458b58321ac774b9ull;
+constexpr std::uint64_t kSocReportHash = 0xa71cb97f21a3535dull;
+constexpr std::uint64_t kSocTraceHash = 0x25a03b5e5d61c02dull;
+constexpr std::uint64_t kSocDesignHash = 0x3619520024488626ull;
+constexpr std::uint64_t kSocElaboratedHash = 0x70143d961d84e198ull;
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 1469598103934665603ull;
@@ -52,7 +61,17 @@ struct Timeline {
   std::size_t series = 0;
 };
 
-Timeline armed_soc_timeline() {
+/// The documents the armed SoC run exports besides its timeline.
+struct SocDocuments {
+  std::string report;
+  std::string trace;
+  std::string design;
+  std::string elaborated;
+};
+
+/// With `docs`, a TraceSession is armed too and the registry is bound to
+/// the report, and the run's exported documents are captured there.
+Timeline armed_soc_timeline(SocDocuments* docs = nullptr) {
   fifo::FifoConfig probe;
   probe.capacity = 8;
   probe.width = 16;
@@ -68,9 +87,14 @@ Timeline armed_soc_timeline() {
   tcfg.interval = 4 * bus_period;
   tcfg.max_points = 128;  // 500 samples: every series decimates twice
   sim::Telemetry telemetry(tcfg);
+  sim::TraceSession trace;
   sim::Observability obs;
   obs.metrics = &registry;
   obs.telemetry = &telemetry;
+  if (docs != nullptr) {
+    obs.trace = &trace;
+    registry.bind(sim.report());
+  }
   obs.arm(sim);
   hub.arm(sim);
 
@@ -100,6 +124,10 @@ Timeline armed_soc_timeline() {
   EXPECT_EQ(elab->total_order_violations(), 0u);
   EXPECT_EQ(hub.total(), 0u);
   EXPECT_GT(elab->sink_received(display), 500u);
+  if (docs != nullptr) {
+    *docs = {sim.report().to_json(), trace.to_json(), d.to_json(),
+             elab->to_json()};
+  }
   return {telemetry.to_jsonl(), telemetry.to_csv(), telemetry.samples(),
           telemetry.store().series_count()};
 }
@@ -151,6 +179,21 @@ TEST(TimelineGolden, ArmedFig14SocTimelineBytesArePinned) {
   EXPECT_EQ(fnv1a(t.jsonl), kSocJsonlHash)
       << std::hex << "jsonl 0x" << fnv1a(t.jsonl);
   EXPECT_EQ(fnv1a(t.csv), kSocCsvHash) << std::hex << "csv 0x" << fnv1a(t.csv);
+}
+
+TEST(TimelineGolden, ArmedFig14SocDocumentBytesArePinned) {
+  SocDocuments docs;
+  armed_soc_timeline(&docs);
+  EXPECT_NE(docs.trace.find("\"ph\": \"C\""), std::string::npos);
+  EXPECT_NE(docs.report.find("\"metrics\": "), std::string::npos);
+  EXPECT_EQ(fnv1a(docs.report), kSocReportHash)
+      << std::hex << "report 0x" << fnv1a(docs.report);
+  EXPECT_EQ(fnv1a(docs.trace), kSocTraceHash)
+      << std::hex << "trace 0x" << fnv1a(docs.trace);
+  EXPECT_EQ(fnv1a(docs.design), kSocDesignHash)
+      << std::hex << "design 0x" << fnv1a(docs.design);
+  EXPECT_EQ(fnv1a(docs.elaborated), kSocElaboratedHash)
+      << std::hex << "elaborated 0x" << fnv1a(docs.elaborated);
 }
 
 TEST(TimelineGolden, BackpressureStormTimelineBytesArePinned) {

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "sim/error.hpp"
-#include "sim/report.hpp"  // json_escape
+#include "sim/json_writer.hpp"
 
 namespace mts::builder {
 
@@ -526,66 +526,62 @@ void Design::check() const {
 
 // --- exports ---------------------------------------------------------------
 
-namespace {
-
-void json_port(std::ostringstream& os, const Design& d, const PortDecl& p) {
-  os << "{\"name\": \"" << sim::json_escape(p.name) << "\", \"dir\": \""
-     << to_string(p.dir) << "\", \"style\": \"" << to_string(p.style)
-     << "\", \"domain\": ";
-  if (p.style == TimingStyle::kSync && p.domain < d.domains().size()) {
-    os << "\"" << sim::json_escape(d.domains()[p.domain].name) << "\"";
-  } else {
-    os << "null";
-  }
-  os << ", \"width\": " << p.width << "}";
-}
-
-}  // namespace
-
 std::string Design::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"design\": \"" << sim::json_escape(name_) << "\",\n";
-  os << "  \"domains\": [";
-  for (std::size_t i = 0; i < domains_.size(); ++i) {
-    if (i) os << ", ";
-    const DomainDecl& d = domains_[i];
-    os << "{\"name\": \"" << sim::json_escape(d.name)
-       << "\", \"period_ps\": " << d.clock.period
-       << ", \"phase_ps\": " << d.clock.phase << ", \"duty\": " << d.clock.duty
-       << ", \"jitter_ps\": " << d.clock.jitter << "}";
+  std::string out;
+  sim::JsonWriter w(out);
+  w.begin_object(sim::JsonWriter::Layout::kLines).key("design").str(name_)
+      .key("domains").begin_array();
+  for (const DomainDecl& d : domains_) {
+    w.begin_object().key("name").str(d.name)
+        .key("period_ps").u64(d.clock.period).key("phase_ps").u64(d.clock.phase)
+        .key("duty").num(d.clock.duty).key("jitter_ps").u64(d.clock.jitter)
+        .end_object();
   }
-  os << "],\n  \"nodes\": [";
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (i) os << ", ";
-    const Node& n = nodes_[i];
-    os << "\n    {\"name\": \"" << sim::json_escape(n.name)
-       << "\", \"kind\": \"" << to_string(n.kind) << "\", \"ports\": [";
-    for (std::size_t p = 0; p < n.ports.size(); ++p) {
-      if (p) os << ", ";
-      json_port(os, *this, n.ports[p]);
+  // Nodes and edges sit one per line after a ", " separator, with the
+  // closer on its own line even when empty -- no layout does that -- so
+  // each element is a raw line break, then the element from a fresh writer.
+  w.end_array().key("nodes").begin_array();
+  for (const Node& n : nodes_) {
+    w.raw("\n    ");
+    sim::JsonWriter el(out);
+    el.begin_object().key("name").str(n.name)
+        .key("kind").str(to_string(n.kind)).key("ports").begin_array();
+    for (const PortDecl& p : n.ports) {
+      el.begin_object().key("name").str(p.name)
+          .key("dir").str(to_string(p.dir))
+          .key("style").str(to_string(p.style)).key("domain");
+      if (p.style == TimingStyle::kSync && p.domain < domains_.size()) {
+        el.str(domains_[p.domain].name);
+      } else {
+        el.null();
+      }
+      el.key("width").u64(p.width).end_object();
     }
-    os << "]}";
+    el.end_array().end_object();
   }
-  os << "\n  ],\n  \"edges\": [";
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (i) os << ", ";
-    const Edge& e = edges_[i];
+  out += "\n  ";
+  w.end_array().key("edges").begin_array();
+  for (const Edge& e : edges_) {
     const PortDecl& pp = nodes_[e.from].ports[e.from_port];
     const PortDecl& pc = nodes_[e.to].ports[e.to_port];
-    os << "\n    {\"name\": \"" << sim::json_escape(e.name)
-       << "\", \"from\": \"" << sim::json_escape(port_ref(e.from, e.from_port))
-       << "\", \"to\": \"" << sim::json_escape(port_ref(e.to, e.to_port))
-       << "\", \"capacity\": " << e.opt.capacity << ", \"controller\": \""
-       << fifo::to_string(e.opt.controller) << "\", \"latency\": [" << e.opt.latency_left << ", "
-       << e.opt.latency_right << "], \"link_width\": " << link_width_of(e)
-       << ", \"primitive\": \""
-       << to_string(resolve_primitive(pp.style, pp.domain, pc.style, pc.domain,
-                                      e.opt.controller,
-                                      e.opt.latency_left + e.opt.latency_right))
-       << "\"}";
+    w.raw("\n    ");
+    sim::JsonWriter(out).begin_object().key("name").str(e.name)
+        .key("from").str(port_ref(e.from, e.from_port))
+        .key("to").str(port_ref(e.to, e.to_port))
+        .key("capacity").u64(e.opt.capacity)
+        .key("controller").str(fifo::to_string(e.opt.controller))
+        .key("latency").begin_array().u64(e.opt.latency_left)
+        .u64(e.opt.latency_right).end_array()
+        .key("link_width").u64(link_width_of(e))
+        .key("primitive").str(to_string(resolve_primitive(
+            pp.style, pp.domain, pc.style, pc.domain, e.opt.controller,
+            e.opt.latency_left + e.opt.latency_right)))
+        .end_object();
   }
-  os << "\n  ]\n}\n";
-  return os.str();
+  out += "\n  ";
+  w.end_array().end_object();
+  out += '\n';
+  return out;
 }
 
 std::string Design::to_dot() const {

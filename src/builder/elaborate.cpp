@@ -1,9 +1,8 @@
 #include "builder/elaborate.hpp"
 
-#include <sstream>
-
 #include "gates/combinational.hpp"
 #include "sim/error.hpp"
+#include "sim/json_writer.hpp"
 #include "sim/observe.hpp"
 #include "sim/report.hpp"
 
@@ -590,17 +589,18 @@ void Elaborated::arm_watchdog(sim::Watchdog& wd) {
 }
 
 std::string Elaborated::to_json() const {
-  std::ostringstream os;
-  os << "{\"design\":" << design_.to_json() << ",\"inserted\":[";
-  for (std::size_t i = 0; i < inserted_.size(); ++i) {
-    const InsertedRecord& r = inserted_[i];
-    if (i != 0) os << ',';
-    os << "{\"edge\":\"" << sim::json_escape(design_.edge(r.edge).name)
-       << "\",\"primitive\":\"" << to_string(r.kind) << "\",\"instance\":\""
-       << sim::json_escape(r.instance) << "\"}";
+  using Layout = sim::JsonWriter::Layout;
+  std::string out;
+  sim::JsonWriter w(out);
+  w.begin_object(Layout::kCompact).key("design").raw(design_.to_json())
+      .key("inserted").begin_array(Layout::kCompact);
+  for (const InsertedRecord& r : inserted_) {
+    w.begin_object(Layout::kCompact).key("edge").str(design_.edge(r.edge).name)
+        .key("primitive").str(to_string(r.kind))
+        .key("instance").str(r.instance).end_object();
   }
-  os << "]}";
-  return os.str();
+  w.end_array().end_object();
+  return out;
 }
 
 std::unique_ptr<Elaborated> elaborate(sim::Simulation& sim, const Design& d) {

@@ -2,12 +2,10 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 
-#include "sim/report.hpp"  // json_escape
+#include "sim/json_writer.hpp"
 
 namespace mts::campaignd::json {
 
@@ -39,13 +37,7 @@ Value Value::number_i64(std::int64_t v) {
 Value Value::number_double(double v) {
   Value out;
   out.kind_ = Kind::kNumber;
-  if (!std::isfinite(v)) {
-    out.str_ = "0";
-    return out;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out.str_ = buf;
+  sim::JsonWriter(out.str_).exact(v);
   return out;
 }
 
@@ -94,6 +86,11 @@ double Value::as_double() const {
   const double v = std::strtod(str_.c_str(), &end);
   if (end == nullptr || *end != '\0') {
     throw ProtocolError("bad number: '" + str_ + "'");
+  }
+  // JSON has no infinity: a literal too large for a double (1e999) is
+  // rejected, not turned into one.
+  if (!std::isfinite(v)) {
+    throw ProtocolError("number out of range: '" + str_ + "'");
   }
   return v;
 }
@@ -181,44 +178,25 @@ std::size_t Value::size() const {
 
 namespace {
 
-void dump_into(const Value& v, std::string& out);
-
-void dump_members(const Members& obj, std::string& out) {
-  out += '{';
-  bool first = true;
-  for (const auto& [k, v] : obj) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += sim::json_escape(k);
-    out += "\":";
-    dump_into(v, out);
-  }
-  out += '}';
-}
-
-void dump_into(const Value& v, std::string& out) {
+void dump_into(const Value& v, sim::JsonWriter& w) {
   switch (v.kind()) {
-    case Kind::kNull: out += "null"; return;
-    case Kind::kBool: out += v.as_bool() ? "true" : "false"; return;
-    case Kind::kNumber: out += v.number_text(); return;
-    case Kind::kString:
-      out += '"';
-      out += sim::json_escape(v.as_string());
-      out += '"';
+    case Kind::kNull: w.null(); return;
+    case Kind::kBool: w.boolean(v.as_bool()); return;
+    case Kind::kNumber: w.raw(v.number_text()); return;
+    case Kind::kString: w.str(v.as_string()); return;
+    case Kind::kArray:
+      w.begin_array(sim::JsonWriter::Layout::kCompact);
+      for (const Value& e : v.as_array()) dump_into(e, w);
+      w.end_array();
       return;
-    case Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const Value& e : v.as_array()) {
-        if (!first) out += ',';
-        first = false;
-        dump_into(e, out);
+    case Kind::kObject:
+      w.begin_object(sim::JsonWriter::Layout::kCompact);
+      for (const auto& [k, m] : v.as_object()) {
+        w.key(k);
+        dump_into(m, w);
       }
-      out += ']';
+      w.end_object();
       return;
-    }
-    case Kind::kObject: dump_members(v.as_object(), out); return;
   }
 }
 
@@ -226,7 +204,8 @@ void dump_into(const Value& v, std::string& out) {
 
 std::string Value::dump() const {
   std::string out;
-  dump_into(*this, out);
+  sim::JsonWriter w(out);
+  dump_into(*this, w);
   return out;
 }
 

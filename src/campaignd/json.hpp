@@ -1,10 +1,10 @@
 // Minimal JSON document model for the campaignd wire protocol and
 // checkpoint files.
 //
-// The rest of the repo only ever *emits* JSON (hand-rolled ostream
-// serializers); campaignd is the first subsystem that must also *parse* it
-// -- run snapshots come back over sockets and checkpoints are reloaded
-// across process lifetimes. Two properties matter more than generality:
+// The rest of the repo only ever *emits* JSON (through sim::JsonWriter,
+// which dump() uses too); campaignd is the first subsystem that must also
+// *parse* it -- run snapshots come back over sockets and checkpoints are
+// reloaded across process lifetimes. Two properties matter more than generality:
 //
 //   * Lossless numbers. Seeds are full-range uint64 (campaign_run_seed
 //     avalanches into the top bit), so numbers cannot transit through

@@ -6,7 +6,7 @@
 
 #include "mc/state_store.hpp"
 #include "sim/error.hpp"
-#include "sim/report.hpp"
+#include "sim/json_writer.hpp"
 
 namespace mts::mc {
 
@@ -33,39 +33,33 @@ std::string step_label(const RingModel& model, const RingState& s,
 }  // namespace
 
 std::string Counterexample::to_json() const {
-  std::string s = "{\"property\": \"" + std::string(property_name(property)) +
-                  "\", \"site\": \"" + sim::json_escape(site) +
-                  "\", \"detail\": \"" + sim::json_escape(detail) +
-                  "\", \"env_step\": " + std::to_string(env_step) +
-                  ", \"replayable\": " + (replayable ? "true" : "false") +
-                  ", \"trace\": [";
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (i != 0) s += ", ";
-    s += "{\"label\": \"" + sim::json_escape(trace[i].label) + "\", \"env\": " +
-         (trace[i].env ? "true" : "false") + "}";
+  std::string out;
+  sim::JsonWriter w(out);
+  w.begin_object().key("property").str(property_name(property))
+      .key("site").str(site).key("detail").str(detail)
+      .key("env_step").u64(env_step).key("replayable").boolean(replayable)
+      .key("trace").begin_array();
+  for (const TraceStep& step : trace) {
+    w.begin_object().key("label").str(step.label)
+        .key("env").boolean(step.env).end_object();
   }
-  s += "]}";
-  return s;
+  w.end_array().end_object();
+  return out;
 }
 
 std::string CheckResult::to_json() const {
-  std::string s = "{\"name\": \"" + sim::json_escape(name) +
-                  "\", \"capacity\": " + std::to_string(capacity) +
-                  ", \"ok\": " + (ok ? "true" : "false") +
-                  ", \"exhaustive\": " + (exhaustive ? "true" : "false") +
-                  ", \"macro_states\": " + std::to_string(macro_states) +
-                  ", \"states\": " + std::to_string(states) +
-                  ", \"edges\": " + std::to_string(edges) +
-                  ", \"peak_frontier\": " + std::to_string(peak_frontier) +
-                  ", \"proved\": [";
-  for (std::size_t i = 0; i < proved.size(); ++i) {
-    if (i != 0) s += ", ";
-    s += "\"" + proved[i] + "\"";
-  }
-  s += "], \"cex\": ";
-  s += cex ? cex->to_json() : "null";
-  s += "}";
-  return s;
+  std::string out;
+  sim::JsonWriter w(out);
+  w.begin_object().key("name").str(name).key("capacity").u64(capacity)
+      .key("ok").boolean(ok).key("exhaustive").boolean(exhaustive)
+      .key("macro_states").u64(macro_states).key("states").u64(states)
+      .key("edges").u64(edges).key("peak_frontier").u64(peak_frontier)
+      .key("proved").begin_array();
+  for (const std::string& p : proved) w.str(p);
+  w.end_array().key("cex");
+  cex ? w.raw(cex->to_json()) : w.null();
+  w.end_object();
+  return out;
 }
 
 namespace {

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "sim/error.hpp"
+#include "sim/json_writer.hpp"
 #include "sim/report.hpp"
 
 namespace mts::metrics {
@@ -432,74 +433,49 @@ class Registry {
   ///                   "p50":..,"p95":..,"p99":..,"max":..,
   ///                   "buckets":[[bound,count],...]}}}}
   std::string to_json() const {
-    std::ostringstream os;
-    os << "{";
-    bool first_inst = true;
+    using Layout = sim::JsonWriter::Layout;
+    std::string out;
+    sim::JsonWriter w(out);
+    w.begin_object(Layout::kLines);
+    // An empty registry renders as "{\n}", not the layout's "{}".
+    if (instances_.empty()) out += '\n';
     for (const auto& [iname, inst] : instances_) {
-      if (!first_inst) os << ",";
-      first_inst = false;
-      os << "\n  \"" << sim::json_escape(iname) << "\": {";
-      bool first_block = true;
+      w.key(iname).begin_object(Layout::kLines);
       if (!inst.counters.empty()) {
-        os << "\n    \"counters\": {";
-        bool first = true;
-        for (const auto& [n, c] : inst.counters) {
-          if (!first) os << ", ";
-          first = false;
-          os << "\"" << sim::json_escape(n) << "\": " << c.value();
-        }
-        os << "}";
-        first_block = false;
+        w.key("counters").begin_object();
+        for (const auto& [n, c] : inst.counters) w.key(n).u64(c.value());
+        w.end_object();
       }
       if (!inst.gauges.empty()) {
-        if (!first_block) os << ",";
-        os << "\n    \"gauges\": {";
-        bool first = true;
-        for (const auto& [n, g] : inst.gauges) {
-          if (!first) os << ", ";
-          first = false;
-          os << "\"" << sim::json_escape(n)
-             << "\": " << sim::json_number(g.value());
-        }
-        os << "}";
-        first_block = false;
+        w.key("gauges").begin_object();
+        for (const auto& [n, g] : inst.gauges) w.key(n).num(g.value());
+        w.end_object();
       }
       if (!inst.histograms.empty()) {
-        if (!first_block) os << ",";
-        os << "\n    \"histograms\": {";
-        bool first = true;
+        w.key("histograms").begin_object(Layout::kLines);
         for (const auto& [n, h] : inst.histograms) {
-          if (!first) os << ",";
-          first = false;
-          os << "\n      \"" << sim::json_escape(n) << "\": {"
-             << "\"count\": " << h.count() << ", \"mean\": "
-             << sim::json_number(h.mean())
-             << ", \"min\": " << sim::json_number(h.min())
-             << ", \"p50\": " << sim::json_number(h.percentile(0.50))
-             << ", \"p95\": " << sim::json_number(h.percentile(0.95))
-             << ", \"p99\": " << sim::json_number(h.percentile(0.99))
-             << ", \"max\": " << sim::json_number(h.max())
-             << ", \"buckets\": [";
+          w.key(n).begin_object().key("count").u64(h.count())
+              .key("mean").num(h.mean()).key("min").num(h.min())
+              .key("p50").num(h.percentile(0.50))
+              .key("p95").num(h.percentile(0.95))
+              .key("p99").num(h.percentile(0.99)).key("max").num(h.max())
+              .key("buckets").begin_array();
           const auto& bounds = h.bounds();
           const auto& counts = h.bucket_counts();
-          bool first_b = true;
           for (std::size_t i = 0; i < counts.size(); ++i) {
             if (counts[i] == 0) continue;  // sparse: elide empty buckets
-            if (!first_b) os << ", ";
-            first_b = false;
-            os << "["
-               << (i < bounds.size() ? sim::json_number(bounds[i])
-                                     : std::string("\"+inf\""))
-               << ", " << counts[i] << "]";
+            w.begin_array();
+            i < bounds.size() ? w.num(bounds[i]) : w.str("+inf");
+            w.u64(counts[i]).end_array();
           }
-          os << "]}";
+          w.end_array().end_object();
         }
-        os << "\n    }";
+        w.end_object();
       }
-      os << "\n  }";
+      w.end_object();
     }
-    os << "\n}";
-    return os.str();
+    w.end_object();
+    return out;
   }
 
   /// instance,metric,kind,count,mean,p50,p95,p99,max -- one row per metric.

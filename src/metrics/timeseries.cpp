@@ -3,31 +3,13 @@
 #include "metrics/timeseries.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 
-#include "sim/report.hpp"
-#include "sim/trace_session.hpp"
+#include "sim/json_writer.hpp"
 
 namespace mts::metrics {
 
 namespace {
-
-/// Finite, locale-independent decimal; integral values print without a
-/// fraction so counters stay exact and artifacts diff cleanly.
-std::string fmt_value(double v) {
-  if (!std::isfinite(v)) return "0";
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
 
 struct FlatPoint {
   sim::Time t;
@@ -56,35 +38,40 @@ static std::vector<FlatPoint> flatten(
 }
 
 std::string TimeSeriesStore::to_jsonl() const {
-  std::ostringstream os;
+  std::string out;
+  sim::JsonWriter w(out);
   for (const FlatPoint& r : flatten(series_)) {
-    os << "{\"t\": " << r.t << ", \"s\": \"" << sim::json_escape(*r.name)
-       << "\", \"v\": " << fmt_value(r.v) << "}\n";
+    w.begin_object().key("t").u64(r.t).key("s").str(*r.name)
+        .key("v").value(r.v).end_object();
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 std::string TimeSeriesStore::to_csv() const {
-  std::ostringstream os;
-  os << "t_ps,series,value\n";
+  std::string out = "t_ps,series,value\n";
+  sim::JsonWriter w(out);
   for (const FlatPoint& r : flatten(series_)) {
-    os << r.t << "," << *r.name << "," << fmt_value(r.v) << "\n";
+    w.u64(r.t);
+    out += ',';
+    out += *r.name;
+    out += ',';
+    w.value(r.v);
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
-std::string TimeSeriesStore::perfetto_events(int pid) const {
-  if (series_.empty()) return "";
-  std::ostringstream os;
-  os << ",\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << pid
-     << ", \"args\": {\"name\": \"telemetry\"}}";
+void TimeSeriesStore::perfetto_events(sim::JsonWriter& w, int pid) const {
+  if (series_.empty()) return;
+  w.begin_object().key("name").str("process_name").key("ph").str("M")
+      .key("pid").i64(pid).key("args").begin_object()
+      .key("name").str("telemetry").end_object().end_object();
   for (const FlatPoint& r : flatten(series_)) {
-    os << ",\n  {\"name\": \"" << sim::json_escape(*r.name)
-       << "\", \"ph\": \"C\", \"pid\": " << pid
-       << ", \"ts\": " << sim::trace_ts_us(r.t)
-       << ", \"args\": {\"value\": " << fmt_value(r.v) << "}}";
+    w.begin_object().key("name").str(*r.name).key("ph").str("C")
+        .key("pid").i64(pid).key("ts").ts_us(r.t).key("args").begin_object()
+        .key("value").value(r.v).end_object().end_object();
   }
-  return os.str();
 }
 
 bool TimeSeriesStore::write_jsonl(const std::string& path) const {

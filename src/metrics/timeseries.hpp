@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/json_writer.hpp"
 #include "sim/time.hpp"
 
 namespace mts::metrics {
@@ -166,11 +167,10 @@ class TimeSeriesStore {
   std::string to_csv() const;
 
   /// Chrome trace-event counter samples (`"ph": "C"`) for every point, one
-  /// counter track per series, grouped under a dedicated process (`pid`).
-  /// The returned fragment is a sequence of ",\n  {...}" event objects
-  /// (including a leading process_name metadata event) ready to append
-  /// inside an existing traceEvents array.
-  std::string perfetto_events(int pid = 2) const;
+  /// counter track per series, grouped under a dedicated process (`pid`):
+  /// appended to `w`'s open traceEvents array as a process_name metadata
+  /// event followed by one event per point. Nothing when the store is empty.
+  void perfetto_events(sim::JsonWriter& w, int pid = 2) const;
 
   /// Writes to_jsonl() to `path`; returns false (no throw) on I/O failure.
   bool write_jsonl(const std::string& path) const;

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "sim/error.hpp"
+#include "sim/json_writer.hpp"
 #include "sim/observe.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/watchdog.hpp"
@@ -42,6 +43,13 @@ std::string demangled(const char* name) {
   }
 #endif
   return name;
+}
+
+/// `"scalars": {..}`, each body-recorded number as a JSON number.
+void put_scalars(JsonWriter& w, const std::map<std::string, double>& scalars) {
+  w.key("scalars").begin_object();
+  for (const auto& [name, v] : scalars) w.key(name).num(v);
+  w.end_object();
 }
 
 }  // namespace
@@ -408,31 +416,23 @@ bool write_repro_bundle(const std::string& dir, std::uint64_t campaign_seed,
   const std::string path = dir + "/run-" + std::to_string(spec.index) + ".json";
   std::ofstream out(path);
   if (!out) return false;  // unwritable repro_dir must not fail the campaign
-  out << "{\n"
-      << "  \"run\": {\"index\": " << spec.index
-      << ", \"config\": " << spec.config << ", \"rep\": " << spec.rep
-      << ", \"seed\": " << spec.seed
-      << ", \"campaign_seed\": " << campaign_seed
-      << ", \"configs\": " << configs << ", \"reps\": " << reps << "},\n"
-      << "  \"failure\": {\"type\": \"" << json_escape(r.error_type)
-      << "\", \"what\": \"" << json_escape(r.error)
-      << "\", \"classification\": \"" << json_escape(r.classification)
-      << "\", \"attempts\": " << r.attempts << "}";
-  if (!r.scalars.empty()) {
-    out << ",\n  \"scalars\": {";
-    bool first = true;
-    for (const auto& [name, v] : r.scalars) {
-      if (!first) out << ", ";
-      first = false;
-      out << "\"" << json_escape(name) << "\": " << json_number(v);
-    }
-    out << "}";
-  }
-  if (!r.artifact.empty()) out << ",\n  \"artifact\": " << r.artifact;
-  if (!r.violations_json.empty()) {
-    out << ",\n  \"violations\": " << r.violations_json;
-  }
-  out << "\n}\n";
+  std::string doc;
+  JsonWriter w(doc);
+  w.begin_object(JsonWriter::Layout::kLines).key("run").begin_object()
+      .key("index").u64(spec.index).key("config").u64(spec.config)
+      .key("rep").u64(spec.rep).key("seed").u64(spec.seed)
+      .key("campaign_seed").u64(campaign_seed)
+      .key("configs").u64(configs).key("reps").u64(reps).end_object()
+      .key("failure").begin_object()
+      .key("type").str(r.error_type).key("what").str(r.error)
+      .key("classification").str(r.classification)
+      .key("attempts").u64(r.attempts).end_object();
+  if (!r.scalars.empty()) put_scalars(w, r.scalars);
+  if (!r.artifact.empty()) w.key("artifact").raw(r.artifact);
+  if (!r.violations_json.empty()) w.key("violations").raw(r.violations_json);
+  w.end_object();
+  doc += '\n';
+  out << doc;
   if (!out) return false;
   r.repro_path = path;
   return true;
@@ -521,35 +521,30 @@ bool Campaign::write_json(const std::string& path,
 
 namespace {
 
-/// The "campaign" line and -- with host stats -- the "host" line that open
-/// both documents.
-void put_header(std::ostream& os, const CampaignOutcome& o,
+/// Opens either document: the "campaign" line and -- with host stats --
+/// the "host" line.
+void put_header(JsonWriter& w, const CampaignOutcome& o,
                 bool include_host_stats) {
   const std::size_t total_runs = o.configs * o.reps;
-  os << "{\n";
-  os << "  \"campaign\": {\"configs\": " << o.configs
-     << ", \"reps\": " << o.reps << ", \"runs\": " << total_runs
-     << ", \"seed\": " << o.seed << "},\n";
+  w.begin_object(JsonWriter::Layout::kLines).key("campaign").begin_object()
+      .key("configs").u64(o.configs).key("reps").u64(o.reps)
+      .key("runs").u64(total_runs).key("seed").u64(o.seed).end_object();
   if (include_host_stats) {
     const double rps = o.wall_seconds > 0.0
                            ? static_cast<double>(total_runs) / o.wall_seconds
                            : 0.0;
-    os << "  \"host\": {\"workers\": " << o.workers_used
-       << ", \"wall_seconds\": " << o.wall_seconds
-       << ", \"runs_per_sec\": " << rps << "},\n";
+    w.key("host").begin_object().key("workers").u64(o.workers_used)
+        .key("wall_seconds").num(o.wall_seconds)
+        .key("runs_per_sec").num(rps).end_object();
   }
 }
 
-/// `"quarantined_configs": [..]` after `prefix`; nothing when the list is
-/// empty.
-void put_quarantined(std::ostream& os, const char* prefix,
-                     const std::vector<std::size_t>& configs) {
+/// `"quarantined_configs": [..]`; nothing when the list is empty.
+void put_quarantined(JsonWriter& w, const std::vector<std::size_t>& configs) {
   if (configs.empty()) return;
-  os << prefix << "\"quarantined_configs\": [";
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << configs[i];
-  }
-  os << "]";
+  w.key("quarantined_configs").begin_array();
+  for (const std::size_t c : configs) w.u64(c);
+  w.end_array();
 }
 
 }  // namespace
@@ -611,92 +606,75 @@ std::string CampaignOutcome::health_json(bool include_host_stats) const {
     }
   }
 
-  std::ostringstream os;
-  put_header(os, *this, include_host_stats);
-  os << "  \"health\": {\"ok\": " << ok << ", \"failed\": " << failed_runs
-     << ", \"quarantined_runs\": " << quarantined_runs
-     << ", \"slo_breaches\": " << breaches
-     << ", \"telemetry_samples\": " << samples;
+  std::string out;
+  JsonWriter w(out);
+  put_header(w, *this, include_host_stats);
+  w.key("health").begin_object().key("ok").u64(ok)
+      .key("failed").u64(failed_runs)
+      .key("quarantined_runs").u64(quarantined_runs)
+      .key("slo_breaches").u64(breaches)
+      .key("telemetry_samples").u64(samples);
   if (!worst_instance.empty()) {
-    os << ", \"worst\": {\"run\": " << worst_run << ", \"instance\": \""
-       << json_escape(worst_instance) << "\", \"metric\": \""
-       << json_escape(slo.metric) << "\", \"percentile\": " << slo.percentile
-       << ", \"value\": " << json_number(worst) << "}";
+    w.key("worst").begin_object().key("run").u64(worst_run)
+        .key("instance").str(worst_instance).key("metric").str(slo.metric)
+        .key("percentile").num(slo.percentile).key("value").num(worst)
+        .end_object();
   }
-  os << "}";
+  w.end_object();
   if (slo.budget > 0.0) {
-    os << ",\n  \"slo\": {\"metric\": \"" << json_escape(slo.metric)
-       << "\", \"percentile\": " << slo.percentile
-       << ", \"budget\": " << slo.budget << ", \"fail_run\": "
-       << (slo.fail_run ? "true" : "false") << "}";
+    w.key("slo").begin_object().key("metric").str(slo.metric)
+        .key("percentile").num(slo.percentile).key("budget").num(slo.budget)
+        .key("fail_run").boolean(slo.fail_run).end_object();
   }
-  put_quarantined(os, ",\n  ", quarantined_configs);
-  os << "\n}\n";
-  return os.str();
+  put_quarantined(w, quarantined_configs);
+  w.end_object();
+  out += '\n';
+  return out;
 }
 
 std::string CampaignOutcome::to_json(bool include_host_stats) const {
-  std::ostringstream os;
-  put_header(os, *this, include_host_stats);
-  os << "  \"runs\": [";
-  bool first = true;
+  std::string out;
+  JsonWriter w(out);
+  put_header(w, *this, include_host_stats);
+  w.key("runs").begin_array(JsonWriter::Layout::kLines);
   std::size_t failed_runs = 0;
   for (const RunResult& r : results) {
     if (!r.ok) ++failed_runs;
-    if (!first) os << ",";
-    first = false;
-    os << "\n    {\"index\": " << r.index << ", \"config\": "
-       << (reps == 0 ? 0 : r.index / reps) << ", \"rep\": "
-       << (reps == 0 ? 0 : r.index % reps) << ", \"seed\": " << r.seed
-       << ", \"ok\": " << (r.ok ? "true" : "false");
-    if (!r.error.empty()) {
-      os << ", \"error\": \"" << json_escape(r.error) << "\"";
-    }
-    if (!r.error_type.empty()) {
-      os << ", \"error_type\": \"" << json_escape(r.error_type) << "\"";
-    }
-    if (r.attempts != 1) os << ", \"attempts\": " << r.attempts;
+    w.begin_object().key("index").u64(r.index)
+        .key("config").u64(reps == 0 ? 0 : r.index / reps)
+        .key("rep").u64(reps == 0 ? 0 : r.index % reps)
+        .key("seed").u64(r.seed).key("ok").boolean(r.ok);
+    if (!r.error.empty()) w.key("error").str(r.error);
+    if (!r.error_type.empty()) w.key("error_type").str(r.error_type);
+    if (r.attempts != 1) w.key("attempts").u64(r.attempts);
     if (!r.classification.empty()) {
-      os << ", \"classification\": \"" << json_escape(r.classification)
-         << "\"";
+      w.key("classification").str(r.classification);
     }
-    if (!r.repro_path.empty()) {
-      os << ", \"repro\": \"" << json_escape(r.repro_path) << "\"";
-    }
-    if (r.violations > 0) os << ", \"violations\": " << r.violations;
+    if (!r.repro_path.empty()) w.key("repro").str(r.repro_path);
+    if (r.violations > 0) w.key("violations").u64(r.violations);
     if (r.telemetry_samples > 0) {
-      os << ", \"telemetry_samples\": " << r.telemetry_samples;
+      w.key("telemetry_samples").u64(r.telemetry_samples);
     }
-    if (!r.timeline_path.empty()) {
-      os << ", \"timeline\": \"" << json_escape(r.timeline_path) << "\"";
-    }
+    if (!r.timeline_path.empty()) w.key("timeline").str(r.timeline_path);
     if (r.slo_worst > 0.0) {
-      os << ", \"slo_worst\": " << json_number(r.slo_worst)
-         << ", \"slo_worst_instance\": \""
-         << json_escape(r.slo_worst_instance) << "\"";
+      w.key("slo_worst").num(r.slo_worst)
+          .key("slo_worst_instance").str(r.slo_worst_instance);
     }
-    if (r.slo_breaches > 0) os << ", \"slo_breaches\": " << r.slo_breaches;
-    if (!r.scalars.empty()) {
-      os << ", \"scalars\": {";
-      bool sfirst = true;
-      for (const auto& [name, v] : r.scalars) {
-        if (!sfirst) os << ", ";
-        sfirst = false;
-        os << "\"" << json_escape(name) << "\": " << json_number(v);
-      }
-      os << "}";
-    }
-    if (!r.artifact.empty()) os << ", \"artifact\": " << r.artifact;
-    if (!r.report_json.empty()) os << ", \"report\": " << r.report_json;
-    os << "}";
+    if (r.slo_breaches > 0) w.key("slo_breaches").u64(r.slo_breaches);
+    if (!r.scalars.empty()) put_scalars(w, r.scalars);
+    if (!r.artifact.empty()) w.key("artifact").raw(r.artifact);
+    if (!r.report_json.empty()) w.key("report").raw(r.report_json);
+    w.end_object();
   }
-  os << (first ? "]" : "\n  ]") << ",\n";
-  os << "  \"merged\": {\"failed_runs\": " << failed_runs;
-  put_quarantined(os, ", ", quarantined_configs);
-  os << ", \"report\": " << report.to_json()
-     << ", \"metrics\": " << metrics.to_json() << "}\n";
-  os << "}\n";
-  return os.str();
+  w.end_array().key("merged").begin_object().key("failed_runs").u64(
+      failed_runs);
+  put_quarantined(w, quarantined_configs);
+  // The report's own trailing newline stays before the next member:
+  // "report": {...}\n, "metrics": {...}.
+  w.key("report").raw(report.to_json()).key("metrics").raw(metrics.to_json());
+  w.end_object().end_object();
+  out += '\n';
+  return out;
 }
 
 }  // namespace mts::sim

@@ -1,10 +1,9 @@
 #include "sim/report.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <utility>
+
+#include "sim/json_writer.hpp"
 
 namespace mts::sim {
 
@@ -16,37 +15,6 @@ const char* severity_name(Severity s) noexcept {
     case Severity::kError: return "error";
   }
   return "unknown";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 void Report::add(Time t, Severity sev, std::string category, std::string message) {
@@ -117,51 +85,38 @@ void Report::clear() {
 }
 
 std::string Report::to_json() const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"failures\": " << failures_ << ",\n";
-  os << "  \"entries_total\": " << total_added_ << ",\n";
-  os << "  \"entries_recorded\": " << entries_.size() << ",\n";
-  os << "  \"categories\": {";
-  bool first = true;
-  for (const auto& [cat, n] : per_category_) {
-    if (!first) os << ", ";
-    first = false;
-    os << "\"" << json_escape(cat) << "\": " << n;
-  }
-  os << "},\n";
-  os << "  \"entries\": [";
-  first = true;
+  using Layout = JsonWriter::Layout;
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object(Layout::kLines).key("failures").u64(failures_)
+      .key("entries_total").u64(total_added_)
+      .key("entries_recorded").u64(entries_.size())
+      .key("categories").begin_object();
+  for (const auto& [cat, n] : per_category_) w.key(cat).u64(n);
+  w.end_object().key("entries").begin_array(Layout::kLines);
   for (const auto& e : entries_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n    {\"t\": " << e.time << ", \"severity\": \""
-       << severity_name(e.severity) << "\", \"category\": \""
-       << json_escape(e.category) << "\", \"message\": \""
-       << json_escape(e.message) << "\"}";
+    w.begin_object().key("t").u64(e.time)
+        .key("severity").str(severity_name(e.severity))
+        .key("category").str(e.category).key("message").str(e.message)
+        .end_object();
   }
-  os << (first ? "]" : "\n  ]") << ",\n";
-  os << "  \"kernel\": {\"events_executed\": " << kernel_.events_executed
-     << ", \"peak_queue_depth\": " << kernel_.peak_queue_depth
-     << ", \"pool_high_water\": " << kernel_.pool_high_water;
+  w.end_array().key("kernel").begin_object()
+      .key("events_executed").u64(kernel_.events_executed)
+      .key("peak_queue_depth").u64(kernel_.peak_queue_depth)
+      .key("pool_high_water").u64(kernel_.pool_high_water);
   if (!kernel_.hot_sites.empty()) {
-    os << ", \"hot_sites\": [";
-    first = true;
+    w.key("hot_sites").begin_array(Layout::kLines);
     for (const auto& s : kernel_.hot_sites) {
-      if (!first) os << ",";
-      first = false;
-      os << "\n    {\"site\": \"" << json_escape(s.label)
-         << "\", \"events\": " << s.events << ", \"wall_ns\": " << s.wall_ns
-         << "}";
+      w.begin_object().key("site").str(s.label).key("events").u64(s.events)
+          .key("wall_ns").u64(s.wall_ns).end_object();
     }
-    os << "\n  ]";
+    w.end_array();
   }
-  os << "}";
-  if (metrics_provider_) {
-    os << ",\n  \"metrics\": " << metrics_provider_();
-  }
-  os << "\n}\n";
-  return os.str();
+  w.end_object();
+  if (metrics_provider_) w.key("metrics").raw(metrics_provider_());
+  w.end_object();
+  out += '\n';
+  return out;
 }
 
 }  // namespace mts::sim

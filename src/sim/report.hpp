@@ -29,15 +29,6 @@ enum class Severity { kInfo, kWarning, kViolation, kError };
 /// "info" / "warning" / "violation" / "error".
 const char* severity_name(Severity s) noexcept;
 
-/// Escapes `s` for embedding in a JSON string literal (quotes, backslashes,
-/// control characters).
-std::string json_escape(const std::string& s);
-
-/// Renders `v` as a JSON number: byte-identical to `operator<<` on a
-/// default-formatted stream for finite values, "0" for NaN and infinities
-/// (JSON has neither).
-std::string json_number(double v);
-
 struct ReportEntry {
   Time time = 0;
   Severity severity = Severity::kInfo;

@@ -12,7 +12,8 @@ namespace mts::sim {
 
 void Telemetry::attach_trace(TraceSession* t) {
   if (t == nullptr) return;
-  t->set_extra_events_provider([this] { return store_.perfetto_events(); });
+  t->set_extra_events_provider(
+      [this](JsonWriter& w) { store_.perfetto_events(w); });
 }
 
 void Telemetry::start(Simulation& sim) {

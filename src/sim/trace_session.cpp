@@ -1,11 +1,8 @@
 #include "sim/trace_session.hpp"
 
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "sim/error.hpp"
-#include "sim/report.hpp"
 
 namespace mts::sim {
 
@@ -108,57 +105,55 @@ const char* kind_name(int k) {
 
 }  // namespace
 
-std::string trace_ts_us(Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu.%06llu",
-                static_cast<unsigned long long>(t / 1'000'000),
-                static_cast<unsigned long long>(t % 1'000'000));
-  return buf;
-}
-
 std::string TraceSession::to_json() const {
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n";
-  os << "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-        "\"args\": {\"name\": \"mts simulation\"}}";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("displayTimeUnit").str("ns")
+      .key("traceEvents").begin_array(JsonWriter::Layout::kLines);
+  w.begin_object().key("name").str("process_name").key("ph").str("M")
+      .key("pid").u64(1).key("args").begin_object()
+      .key("name").str("mts simulation").end_object().end_object();
   // One named thread per timing-domain track (tid 0 is reserved).
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
-    os << ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-       << "\"tid\": " << i + 1 << ", \"args\": {\"name\": \""
-       << json_escape(tracks_[i]) << "\"}}";
+    w.begin_object().key("name").str("thread_name").key("ph").str("M")
+        .key("pid").u64(1).key("tid").u64(i + 1).key("args").begin_object()
+        .key("name").str(tracks_[i]).end_object().end_object();
   }
   for (const EventRec& e : events_) {
     const Stream& st = streams_[e.stream];
-    os << ",\n  ";
+    w.begin_object();
     switch (e.kind) {
       case Kind::kBegin:
       case Kind::kEnd:
         // One async slice per transaction: opened at the first
         // put_committed of a fresh id, closed at the last get_observed.
         // Perfetto matches b/e pairs on (cat, id, name).
-        os << "{\"name\": \"txn\", \"cat\": \"txn\", \"ph\": \""
-           << (e.kind == Kind::kBegin ? 'b' : 'e') << "\", \"id\": " << e.txn
-           << ", \"pid\": 1, \"tid\": "
-           << (e.kind == Kind::kBegin ? st.put_track : st.get_track) + 1
-           << ", \"ts\": " << trace_ts_us(e.t)
-           << ", \"args\": {\"instance\": \""
-           << json_escape(st.instance) << "\"}}";
+        w.key("name").str("txn").key("cat").str("txn")
+            .key("ph").str(e.kind == Kind::kBegin ? "b" : "e")
+            .key("id").u64(e.txn).key("pid").u64(1)
+            .key("tid").u64(
+                (e.kind == Kind::kBegin ? st.put_track : st.get_track) + 1)
+            .key("ts").ts_us(e.t).key("args").begin_object()
+            .key("instance").str(st.instance);
         break;
       default:
-        os << "{\"name\": \"" << kind_name(static_cast<int>(e.kind))
-           << "\", \"cat\": \"span\", \"ph\": \"i\", \"s\": \"t\", "
-           << "\"pid\": 1, \"tid\": "
-           << (e.kind == Kind::kPutCommitted ? st.put_track : st.get_track) + 1
-           << ", \"ts\": " << trace_ts_us(e.t)
-           << ", \"args\": {\"txn\": " << e.txn
-           << ", \"instance\": \"" << json_escape(st.instance)
-           << "\", \"data\": " << e.data << "}}";
+        w.key("name").str(kind_name(static_cast<int>(e.kind)))
+            .key("cat").str("span").key("ph").str("i").key("s").str("t")
+            .key("pid").u64(1)
+            .key("tid").u64(
+                (e.kind == Kind::kPutCommitted ? st.put_track : st.get_track) +
+                1)
+            .key("ts").ts_us(e.t).key("args").begin_object()
+            .key("txn").u64(e.txn).key("instance").str(st.instance)
+            .key("data").u64(e.data);
         break;
     }
+    w.end_object().end_object();
   }
-  if (extra_events_) os << extra_events_();
-  os << "\n]}\n";
-  return os.str();
+  if (extra_events_) extra_events_(w);
+  w.end_array().end_object();
+  out += '\n';
+  return out;
 }
 
 void TraceSession::write_json(const std::string& path) const {

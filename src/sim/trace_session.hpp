@@ -39,13 +39,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/json_writer.hpp"
 #include "sim/time.hpp"
 
 namespace mts::sim {
-
-/// Picoseconds -> the trace format's microseconds with 1 ps resolution
-/// ("12.000345"): the one timestamp rendering of every trace-event export.
-std::string trace_ts_us(Time t);
 
 class TraceSession {
  public:
@@ -109,12 +106,12 @@ class TraceSession {
   /// continues past the cap so latency numbers stay exact.
   void set_max_events(std::size_t n) noexcept { max_events_ = n; }
 
-  /// Extra raw trace-event objects appended inside the traceEvents array by
+  /// Extra trace-event objects appended inside the traceEvents array by
   /// to_json() -- how sim::Telemetry merges its counter tracks into the
-  /// same trace file as the transaction spans. The provider returns a
-  /// (possibly empty) sequence of ",\n  {...}" fragments; it must stay
-  /// valid until the last export or be cleared with nullptr.
-  void set_extra_events_provider(std::function<std::string()> fn) {
+  /// same trace file as the transaction spans. The provider writes its
+  /// (possibly no) events into the writer's open array; it must stay valid
+  /// until the last export or be cleared with nullptr.
+  void set_extra_events_provider(std::function<void(JsonWriter&)> fn) {
     extra_events_ = std::move(fn);
   }
 
@@ -167,7 +164,7 @@ class TraceSession {
   std::vector<Stream> streams_;
   std::unordered_map<std::string, StreamId> stream_index_;
   std::vector<EventRec> events_;
-  std::function<std::string()> extra_events_;  ///< counter-track provider
+  std::function<void(JsonWriter&)> extra_events_;  ///< counter tracks
   TxnId next_txn_ = 1;
   std::uint64_t dropped_ = 0;
   std::size_t max_events_ = 4'000'000;

@@ -30,9 +30,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -135,33 +133,19 @@ class Hub {
 
   /// JSON object: total, per-invariant counts, and the recorded log.
   std::string to_json() const {
-    std::ostringstream os;
-    os << "{\"total\": " << total_ << ", \"counts\": {";
-    bool first = true;
+    std::string out;
+    sim::JsonWriter w(out);
+    w.begin_object().key("total").u64(total_).key("counts").begin_object();
     for (std::size_t i = 0; i < counts_.size(); ++i) {
       if (counts_[i] == 0) continue;
-      if (!first) os << ", ";
-      first = false;
-      os << "\"" << invariant_name(static_cast<Invariant>(i))
-         << "\": " << counts_[i];
+      w.key(invariant_name(static_cast<Invariant>(i))).u64(counts_[i]);
     }
-    os << "}, \"violations\": [";
-    first = true;
-    for (const Violation& v : log_) {
-      os << (first ? "" : ", ") << v.to_json();
-      first = false;
-    }
-    os << "]}";
-    return os.str();
+    w.end_object().key("violations").begin_array();
+    for (const Violation& v : log_) w.raw(v.to_json());
+    w.end_array().end_object();
+    return out;
   }
 
-  /// Writes to_json() to `path`; returns false (no throw) on I/O failure.
-  bool write_json(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << to_json() << "\n";
-    return static_cast<bool>(out);
-  }
 
  private:
   static constexpr std::size_t kInvariants =

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "sim/error.hpp"
-#include "sim/report.hpp"
+#include "sim/json_writer.hpp"
 #include "sim/time.hpp"
 
 namespace mts::verify {
@@ -77,13 +77,13 @@ struct Violation {
 
   /// JSON object form (embedded in hub logs and campaign repro bundles).
   std::string to_json() const {
-    std::string s = "{\"t\": " + std::to_string(time) + ", \"invariant\": \"" +
-                    invariant_name(invariant) + "\", \"site\": \"" +
-                    sim::json_escape(site) + "\"";
-    if (txn != 0) s += ", \"txn\": " + std::to_string(txn);
-    s += ", \"observed\": \"" + sim::json_escape(observed) +
-         "\", \"expected\": \"" + sim::json_escape(expected) + "\"}";
-    return s;
+    std::string out;
+    sim::JsonWriter w(out);
+    w.begin_object().key("t").u64(time)
+        .key("invariant").str(invariant_name(invariant)).key("site").str(site);
+    if (txn != 0) w.key("txn").u64(txn);
+    w.key("observed").str(observed).key("expected").str(expected).end_object();
+    return out;
   }
 };
 

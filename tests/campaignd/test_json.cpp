@@ -107,6 +107,17 @@ TEST(CampaigndJson, OverflowRejected) {
   EXPECT_THROW(json::parse("18446744073709551616").as_u64(), ProtocolError);
 }
 
+TEST(CampaigndJson, OverflowingDoublesRejected) {
+  // JSON has no infinity; a literal past the double range must not become
+  // one (it would re-encode as 0).
+  EXPECT_THROW(json::parse("1e999").as_double(), ProtocolError);
+  EXPECT_THROW(json::parse("-1e999").as_double(), ProtocolError);
+  EXPECT_THROW(json::parse(R"({"b":1e999})").get_double("b", 1.0),
+               ProtocolError);
+  // Underflow stays finite: it rounds to zero.
+  EXPECT_EQ(json::parse("1e-999").as_double(), 0.0);
+}
+
 TEST(CampaigndJson, DepthBounded) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += "[";

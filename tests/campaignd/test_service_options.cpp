@@ -75,5 +75,22 @@ TEST(CampaigndServiceOptions, InRangeValuesKeepTheirValue) {
             campaignd::coordinator_options_to_json({}).dump());
 }
 
+TEST(CampaigndServiceOptions, OverflowingSloBudgetRejected) {
+  // A budget of 1e999 would otherwise parse as +inf, ship to workers as 0
+  // (SLO off) and share the digest -- and so the checkpoints -- of the
+  // budget-0 job.
+  campaignd::JobSpec job;
+  job.opt.slo.budget = 5.0;
+  std::string text = campaignd::job_to_json(job).dump();
+  const std::string budget = "\"budget\":5";
+  const std::size_t at = text.find(budget);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, budget.size(), "\"budget\":1e999");
+  EXPECT_THROW(campaignd::job_from_json(json::parse(text)),
+               json::ProtocolError);
+  EXPECT_NO_THROW(campaignd::job_from_json(json::parse(
+      campaignd::job_to_json(job).dump())));
+}
+
 }  // namespace
 }  // namespace mts

@@ -9,6 +9,17 @@
 namespace mts::metrics {
 namespace {
 
+/// The store's perfetto_events() appended into a fresh traceEvents-style
+/// array.
+std::string perfetto_array(const TimeSeriesStore& st) {
+  std::string out;
+  sim::JsonWriter w(out);
+  w.begin_array(sim::JsonWriter::Layout::kLines);
+  st.perfetto_events(w);
+  w.end_array();
+  return out;
+}
+
 TEST(TimeSeries, AppendRetainsInOrderBelowCap) {
   TimeSeries s(8);
   for (sim::Time t = 0; t < 5; ++t) {
@@ -111,21 +122,21 @@ TEST(TimeSeriesStore, CsvLongFormatWithHeader) {
 TEST(TimeSeriesStore, PerfettoEventsAreCounterPhaseUnderTelemetryProcess) {
   TimeSeriesStore st(64);
   st.append("dut.occupancy", 1000, 4.0);
-  const std::string ev = st.perfetto_events();
+  const std::string ev = perfetto_array(st);
   EXPECT_NE(ev.find("\"ph\": \"C\""), std::string::npos);
   EXPECT_NE(ev.find("process_name"), std::string::npos);
   EXPECT_NE(ev.find("telemetry"), std::string::npos);
   EXPECT_NE(ev.find("dut.occupancy"), std::string::npos);
-  // Fragment contract: starts with ",\n" so it splices into an existing
-  // traceEvents array.
-  ASSERT_GE(ev.size(), 2u);
-  EXPECT_EQ(ev.substr(0, 2), ",\n");
+  // Splice contract: the events are elements of the writer's open
+  // traceEvents array, one per line.
+  EXPECT_EQ(ev.substr(0, 5), "[\n  {");
+  EXPECT_EQ(ev.substr(ev.size() - 3), "}\n]");
 }
 
 TEST(TimeSeriesStore, EmptyStoreExportsAreEmpty) {
   TimeSeriesStore st(64);
   EXPECT_TRUE(st.to_jsonl().empty());
-  EXPECT_TRUE(st.perfetto_events().empty());
+  EXPECT_EQ(perfetto_array(st), "[]");
 }
 
 TEST(TimeSeriesStore, MergeCreatesAbsentSeriesAndAppends) {

@@ -17,9 +17,6 @@
 // Serialization: to_json() emits the whole registry as one JSON object
 // (instance -> metric -> value/summary); bind(report) attaches that emitter
 // to a sim::Report so Report::to_json() carries a "metrics" section.
-// to_csv() flattens histograms to one row per instance/metric with
-// p50/p95/p99/max columns -- the format the benches append to BENCH_*.json
-// sidecar tables and scripts/reproduce.sh tabulates.
 #pragma once
 
 #include <algorithm>
@@ -476,27 +473,6 @@ class Registry {
     }
     w.end_object();
     return out;
-  }
-
-  /// instance,metric,kind,count,mean,p50,p95,p99,max -- one row per metric.
-  std::string to_csv() const {
-    std::ostringstream os;
-    os << "instance,metric,kind,count,mean,p50,p95,p99,max\n";
-    for (const auto& [iname, inst] : instances_) {
-      for (const auto& [n, c] : inst.counters) {
-        os << iname << "," << n << ",counter," << c.value() << ",,,,,\n";
-      }
-      for (const auto& [n, g] : inst.gauges) {
-        os << iname << "," << n << ",gauge,," << g.value() << ",,,,\n";
-      }
-      for (const auto& [n, h] : inst.histograms) {
-        os << iname << "," << n << ",histogram," << h.count() << ","
-           << h.mean() << "," << h.percentile(0.50) << ","
-           << h.percentile(0.95) << "," << h.percentile(0.99) << ","
-           << h.max() << "\n";
-      }
-    }
-    return os.str();
   }
 
   /// Attaches this registry as `report`'s "metrics" JSON section (see

@@ -120,17 +120,6 @@ TEST(Registry, HistogramBucketsAreSparseInJson) {
   EXPECT_EQ(json.find("[1, 0]"), std::string::npos);  // empty buckets elided
 }
 
-TEST(Registry, ToCsvEmitsOneRowPerMetric) {
-  Registry r;
-  r.counter("a", "puts").inc(2);
-  r.histogram("b", "lat", {10.0}).observe(5.0);
-  const std::string csv = r.to_csv();
-  EXPECT_NE(csv.find("instance,metric,kind,count,mean,p50,p95,p99,max"),
-            std::string::npos);
-  EXPECT_NE(csv.find("a,puts,counter,2"), std::string::npos);
-  EXPECT_NE(csv.find("b,lat,histogram,1"), std::string::npos);
-}
-
 TEST(Registry, BindAttachesMetricsSectionToReportJson) {
   Registry r;
   r.counter("dut", "puts").inc(3);
